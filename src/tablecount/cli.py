@@ -154,14 +154,7 @@ def _cmd_estimate(args: argparse.Namespace) -> Dict[str, Any]:
     seed = _resolve_seed(args)
     est = mc_estimate_count(margins, args.samples, seed, size_limit=args.perm_cap)
     report = _margins_echo(margins)
-    report.update(
-        mean=est.mean,
-        std_err=est.std_err,
-        ci_low=est.ci_low,
-        ci_high=est.ci_high,
-        samples=est.num_samples,
-        seed=seed,
-    )
+    report.update(_estimate_fields(est))
     return report
 
 
@@ -175,14 +168,7 @@ def _cmd_weighted(args: argparse.Namespace) -> Dict[str, Any]:
     elif args.method == "mc":
         seed = _resolve_seed(args)
         est = mc_weighted_count(margins, weights, args.samples, seed, size_limit=args.perm_cap)
-        report.update(
-            mean=est.mean,
-            std_err=est.std_err,
-            ci_low=est.ci_low,
-            ci_high=est.ci_high,
-            samples=est.num_samples,
-            seed=seed,
-        )
+        report.update(_estimate_fields(est))
     else:
         seed = _resolve_seed(args)
         res = lowrank_weighted_count(
@@ -192,10 +178,20 @@ def _cmd_weighted(args: argparse.Namespace) -> Dict[str, Any]:
             seed,
             repeats=args.repeats,
             term_cap=args.term_cap,
-            size_limit=args.perm_cap,
         )
         report.update(_lowrank_fields(res))
     return report
+
+
+def _estimate_fields(est: Any) -> Dict[str, Any]:
+    return {
+        "mean": est.mean,
+        "std_err": est.std_err,
+        "ci_low": est.ci_low,
+        "ci_high": est.ci_high,
+        "samples": est.num_samples,
+        "seed": est.seed,
+    }
 
 
 def _lowrank_fields(res: Any) -> Dict[str, Any]:
@@ -206,7 +202,6 @@ def _lowrank_fields(res: Any) -> Dict[str, Any]:
         "band_high": hi,
         "epsilon": res.epsilon,
         "seed": res.seed,
-        "pairing": res.method,
         "form_counts": list(res.form_counts),
         "terms": res.term_count,
         "repeats": res.repeats,
@@ -221,7 +216,6 @@ def _cmd_lowrank(args: argparse.Namespace) -> Dict[str, Any]:
         _resolve_seed(args),
         repeats=args.repeats,
         term_cap=args.term_cap,
-        size_limit=args.perm_cap,
     )
     report = _margins_echo(margins)
     report.update(_lowrank_fields(res))
@@ -236,7 +230,6 @@ def _cmd_lowrank01(args: argparse.Namespace) -> Dict[str, Any]:
         _resolve_seed(args),
         repeats=args.repeats,
         term_cap=args.term_cap,
-        size_limit=args.perm_cap,
     )
     report = _margins_echo(margins)
     report.update(_lowrank_fields(res))
@@ -257,7 +250,6 @@ def _cmd_lowrank_colsets(args: argparse.Namespace) -> Dict[str, Any]:
         _resolve_seed(args),
         repeats=args.repeats,
         term_cap=args.term_cap,
-        size_limit=args.perm_cap,
     )
     report: Dict[str, Any] = {"rows": rows, "col_sets": column_sets}
     report.update(_lowrank_fields(res))
@@ -337,7 +329,6 @@ def _cmd_compare(args: argparse.Namespace) -> Dict[str, Any]:
             seed,
             repeats=args.repeats,
             term_cap=args.term_cap,
-            size_limit=args.perm_cap,
         ).value,
     )
     report = _margins_echo(margins)
@@ -367,13 +358,17 @@ def _add_margin_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--margins-file", help="JSON {rows, cols} or two-line CSV")
 
 
-def _add_common_flags(sub: argparse.ArgumentParser) -> None:
+def _add_common_flags(sub: argparse.ArgumentParser, term_cap: bool = False,
+                      perm_cap: bool = False) -> None:
     sub.add_argument("--seed", type=int, default=None,
                      help=f"RNG seed (default {DEFAULT_SEED}, or TABLECOUNT_SEED)")
-    sub.add_argument("--term-cap", type=int, default=DEFAULT_TERM_CAP,
-                     help="maximum expanded term count before failing")
-    sub.add_argument("--perm-cap", type=int, default=DEFAULT_SIZE_LIMIT,
-                     help="maximum permanent matrix size before failing")
+    if term_cap:
+        sub.add_argument("--term-cap", type=int, default=DEFAULT_TERM_CAP,
+                         help="maximum term count of the expanded low-rank pairing, "
+                              "checked before any sampling")
+    if perm_cap:
+        sub.add_argument("--perm-cap", type=int, default=DEFAULT_SIZE_LIMIT,
+                         help="maximum permanent matrix size before failing")
     sub.add_argument("--output", choices=("json", "table"), default="json")
 
 
@@ -392,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("estimate")
     _add_margin_flags(sub)
     sub.add_argument("--samples", type=int, default=10000)
-    _add_common_flags(sub)
+    _add_common_flags(sub, perm_cap=True)
 
     sub = subs.add_parser("weighted")
     _add_margin_flags(sub)
@@ -401,21 +396,21 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--samples", type=int, default=10000)
     sub.add_argument("--epsilon", type=float, default=0.2)
     sub.add_argument("--repeats", type=int, default=1)
-    _add_common_flags(sub)
+    _add_common_flags(sub, term_cap=True, perm_cap=True)
 
     for name in ("lowrank", "lowrank01"):
         sub = subs.add_parser(name)
         _add_margin_flags(sub)
         sub.add_argument("--epsilon", type=float, default=0.2)
         sub.add_argument("--repeats", type=int, default=1)
-        _add_common_flags(sub)
+        _add_common_flags(sub, term_cap=True)
 
     sub = subs.add_parser("lowrank-colsets")
     sub.add_argument("--rows", help="comma-separated row sums")
     sub.add_argument("--col-sets", help="allowed sums per column, ';'-separated")
     sub.add_argument("--epsilon", type=float, default=0.2)
     sub.add_argument("--repeats", type=int, default=1)
-    _add_common_flags(sub)
+    _add_common_flags(sub, term_cap=True)
 
     sub = subs.add_parser("verify-coeffs")
     sub.add_argument("--kind", choices=("complete", "elementary"), default="complete")
@@ -428,14 +423,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("variance")
     _add_margin_flags(sub)
     sub.add_argument("--samples", type=int, default=10000)
-    _add_common_flags(sub)
+    _add_common_flags(sub, perm_cap=True)
 
     sub = subs.add_parser("compare")
     _add_margin_flags(sub)
     sub.add_argument("--samples", type=int, default=10000)
     sub.add_argument("--epsilon", type=float, default=0.2)
     sub.add_argument("--repeats", type=int, default=1)
-    _add_common_flags(sub)
+    _add_common_flags(sub, term_cap=True, perm_cap=True)
 
     return parser
 

@@ -14,8 +14,10 @@ Entry points by family:
   second-moment ratio against its proven bounds.
 * low-rank: ``lowrank_asymptotic_count`` and friends replace each row's
   symmetric polynomial by a small random family of linear forms and read the
-  count off a scalar-product pairing, carrying a multiplicative (1 +/- eps)^N
-  guarantee band.
+  count off the coefficient of x^c (c = column sums) in the product of the
+  row factors, carrying a multiplicative (1 +/- eps)^N guarantee band.  One
+  dynamic program over the column sums used so far computes that coefficient
+  for every variant.
 
 All randomized paths are deterministic functions of their seed: sample i uses
 the child seed derive_seed(seed, i), so chunked or parallel evaluation cannot
@@ -26,10 +28,11 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import statistics
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from operator import add, contains, le
 from typing import Dict, Iterator, List, Sequence, Tuple
 
 import numpy as np
@@ -43,13 +46,13 @@ from .errors import (
     ValidationError,
 )
 from .lowrank import (
+    approx_coefficients,
     build_e_tilde,
     build_h_tilde,
     choose_elementary_sample_count,
     choose_sample_count,
     exact_e,
     exact_h,
-    solve_threshold,
 )
 from .permanent import (
     DEFAULT_SIZE_LIMIT,
@@ -58,17 +61,8 @@ from .permanent import (
     permanent_exact,
     permanent_float_batch,
 )
-from .polynomial import (
-    DEFAULT_TERM_CAP,
-    Coeff,
-    LinearForm,
-    SparsePolynomial,
-    factorial,
-    parse_coeff,
-    poly_mul,
-    reduced_pairing,
-)
-from .rng import derive_seed, derive_seed_block, exponential_matrix, truncated_exponential_matrix
+from .polynomial import DEFAULT_TERM_CAP, Coeff, LinearForm, factorial, parse_coeff
+from .rng import derive_seed, derive_seed_block, exponential_matrix
 
 DEFAULT_NODE_BUDGET = 10**7
 DEFAULT_CHUNK = 16384
@@ -77,9 +71,18 @@ DEFAULT_CHUNK = 16384
 DEFAULT_FORMS_PER_VALUE = 128
 DEFAULT_WEIGHTED_FORMS_PER_ROW = 64
 DEFAULT_RANK_BOUND = 4
-DEFAULT_VECTOR_BUDGET = 10**5
 
 Z_95 = 1.959963984540054  # two-sided 95% normal quantile
+
+
+def _integers(values: Sequence[int], what: str) -> Tuple[int, ...]:
+    """The values as ints; bools and non-integral numbers are rejected, not truncated."""
+    out = []
+    for v in values:
+        if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+            raise ValidationError(f"{what} must be integers, got {v!r}")
+        out.append(int(v))
+    return tuple(out)
 
 
 class Margins:
@@ -88,8 +91,8 @@ class Margins:
     __slots__ = ("row_sums", "col_sums", "total")
 
     def __init__(self, row_sums: Sequence[int], col_sums: Sequence[int]):
-        rows = tuple(int(v) for v in row_sums)
-        cols = tuple(int(v) for v in col_sums)
+        rows = _integers(row_sums, "row sums")
+        cols = _integers(col_sums, "column sums")
         if not rows or not cols:
             raise ValidationError("margins need at least one row and one column")
         if any(v < 1 for v in rows):
@@ -149,6 +152,8 @@ class WeightMatrix:
             if len(row) != width:
                 raise ValidationError("ragged weight matrix")
             for v in row:
+                if isinstance(v, bool) or not isinstance(v, numbers.Real):
+                    raise ValidationError(f"weights must be numbers, got {v!r}")
                 if isinstance(v, float) and not math.isfinite(v):
                     raise ValidationError("weights must be finite")
                 if v < 0:
@@ -202,7 +207,6 @@ class CountEstimate:
     ci_high: float
     num_samples: int
     seed: int
-    exact_divisor_applied: bool
 
 
 @dataclass(frozen=True)
@@ -228,7 +232,6 @@ class LowRankResult:
     guarantee_factor: Tuple[float, float]
     epsilon: float
     seed: int
-    method: str
     form_counts: Tuple[int, ...]
     term_count: int
     repeats: int
@@ -479,7 +482,6 @@ def _estimate_from_values(values: np.ndarray, divisor: float, seed: int) -> Coun
         ci_high=mean + Z_95 * std_err,
         num_samples=int(values.size),
         seed=seed,
-        exact_divisor_applied=True,
     )
 
 
@@ -600,303 +602,13 @@ def weighted_fy_count(
 # low-rank pipelines
 
 
-@dataclass(frozen=True)
-class _Family:
-    """One factor family of the row product, shared by `mult` equal rows.
-
-    kind "power": factor = scale * sum_s forms[s]^r  (forms: LinearForm list)
-    kind "group": factor = scale * sum_g prod(group g)  (forms: tuple of groups)
-    kind "exact": factor = poly, an exact polynomial in the ambient variables,
-    transported through coordinate forms.
-    """
-
-    kind: str
-    r: int
-    mult: int
-    scale: object
-    forms: tuple | None
-    poly: SparsePolynomial | None
-    num_vars: int
-
-    @property
-    def choice_count(self) -> int:
-        return len(self.forms) if self.forms is not None else 0
-
-    @property
-    def local_dim(self) -> int:
-        if self.kind == "power":
-            return len(self.forms)
-        if self.kind == "group":
-            return len(self.forms) * self.r
-        return self.num_vars
-
-    def local_factor(self) -> SparsePolynomial:
-        """The factor polynomial in this family's local variables."""
-        d = self.local_dim
-        if self.kind == "power":
-            terms = {}
-            for s in range(len(self.forms)):
-                expo = [0] * d
-                expo[s] = self.r
-                terms[tuple(expo)] = self.scale
-            return SparsePolynomial(d, terms)
-        if self.kind == "group":
-            terms = {}
-            for g in range(len(self.forms)):
-                expo = [0] * d
-                for t in range(self.r):
-                    expo[g * self.r + t] = 1
-                terms[tuple(expo)] = self.scale
-            return SparsePolynomial(d, terms)
-        return self.poly
-
-    def transport_forms(self) -> List[LinearForm]:
-        """Ambient linear forms, one per local variable."""
-        if self.kind == "power":
-            return list(self.forms)
-        if self.kind == "group":
-            return [form for group in self.forms for form in group]
-        return [LinearForm.coordinate(self.num_vars, j) for j in range(self.num_vars)]
-
-
-def _embed(poly: SparsePolynomial, offset: int, total_dim: int) -> SparsePolynomial:
-    pad_right = total_dim - offset - poly.num_vars
-    terms = {
-        (0,) * offset + expo + (0,) * pad_right: coeff for expo, coeff in poly.terms.items()
-    }
-    return SparsePolynomial(total_dim, terms)
-
-
-def _poly_power(poly: SparsePolynomial, power: int, term_cap: int) -> SparsePolynomial:
-    out = SparsePolynomial.constant(poly.num_vars, 1)
-    for _ in range(power):
-        out = poly_mul(out, poly, term_cap=term_cap)
-    return out
-
-
-def _pair_expand(families: Sequence[_Family], col_vector: Sequence[int], term_cap: int):
-    """Literal reduction route: build the product polynomial in the local
-    variables of all families and pair it against the transported column
-    factors.  Exact when all inputs are exact."""
-    n = families[0].num_vars
-    total_dim = sum(f.local_dim for f in families)
-    all_forms: List[LinearForm] = []
-    q_total = SparsePolynomial.constant(total_dim, 1)
-    offset = 0
-    for fam in families:
-        all_forms.extend(fam.transport_forms())
-        factor = _poly_power(fam.local_factor(), fam.mult, term_cap)
-        q_total = poly_mul(q_total, _embed(factor, offset, total_dim), term_cap=term_cap)
-        offset += fam.local_dim
-    g_forms: List[LinearForm] = []
-    for j, c in enumerate(col_vector):
-        g_forms.extend([LinearForm.coordinate(n, j)] * c)
-    return reduced_pairing(q_total, all_forms, g_forms, term_cap=term_cap)
-
-
-def _family_choice_arrays(fam: _Family) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-family enumeration tables for the permanent route.
-
-    Returns (slot_rows, multiplicities, table): choosing multiset i of factors
-    contributes table rows slot_rows[i] (length r * mult) with combinatorial
-    multiplicity multiplicities[i].
-    """
-    M = fam.choice_count
-    combos = np.array(
-        list(combinations_with_replacement(range(M), fam.mult)), dtype=np.int64
-    ).reshape(-1, fam.mult)
-    mult_coeffs = np.empty(len(combos))
-    base = factorial(fam.mult)
-    for i, combo in enumerate(combos):
-        # multinomial coefficient of this multiset of choices
-        counts: Dict[int, int] = {}
-        for v in combo:
-            counts[v] = counts.get(v, 0) + 1
-        denom = 1
-        for c in counts.values():
-            denom *= factorial(c)
-        mult_coeffs[i] = base // denom
-    if fam.kind == "power":
-        slot_rows = np.repeat(combos, fam.r, axis=1)
-        table = np.array([f.coeffs for f in fam.forms], dtype=np.float64)
-    else:
-        slot_rows = (combos[:, :, None] * fam.r + np.arange(fam.r)[None, None, :]).reshape(
-            len(combos), fam.mult * fam.r
-        )
-        table = np.array(
-            [f.coeffs for group in fam.forms for f in group], dtype=np.float64
-        )
-    return slot_rows, mult_coeffs, table
-
-
-def _pair_permanent(
-    families: Sequence[_Family],
-    col_vector: Sequence[int],
-    term_cap: int,
-    size_limit: int,
-    chunk_size: int = 2048,
-) -> float:
-    """Permanent route: expand the product of factor families term by term;
-    each term is a product of N linear forms, whose pairing with the column
-    monomial is the permanent of an N x N coefficient matrix.  Terms are
-    enumerated in a fixed order and batched, so results do not depend on the
-    chunk size."""
-    for fam in families:
-        if fam.kind == "exact":
-            raise ValidationError("permanent route requires sampled form families")
-    N = sum(f.r * f.mult for f in families)
-    if N != sum(col_vector):
-        raise ValidationError("row degrees and column degrees disagree")
-    if N > size_limit:
-        raise PermanentSizeError(
-            f"pairing size {N} exceeds permanent size limit {size_limit}", limit=size_limit
-        )
-    per_fam = [_family_choice_arrays(fam) for fam in families]
-    shape = tuple(len(p[0]) for p in per_fam)
-    total_terms = 1
-    for s in shape:
-        total_terms *= s
-        if total_terms > term_cap:
-            raise TermBudgetError(
-                f"pairing needs {math.prod(shape)} terms, cap is {term_cap}; "
-                "the cost grows as the product of per-value form-multiset counts",
-                limit=term_cap,
-            )
-    # global table of slot rows, with per-family offsets
-    offsets = np.cumsum([0] + [p[2].shape[0] for p in per_fam])[:-1]
-    table = np.vstack([p[2] for p in per_fam])
-    col_of = np.repeat(np.arange(len(col_vector)), col_vector)
-    prefactor = 1.0
-    for fam in families:
-        prefactor *= float(fam.scale) ** fam.mult
-
-    acc = 0.0
-    for start in range(0, total_terms, chunk_size):
-        stop = min(start + chunk_size, total_terms)
-        flat = np.arange(start, stop)
-        idx = np.unravel_index(flat, shape)
-        rows_parts = []
-        coeffs = np.ones(stop - start)
-        for (slot_rows, mult_coeffs, _), off, ix in zip(per_fam, offsets, idx):
-            rows_parts.append(slot_rows[ix] + off)
-            coeffs *= mult_coeffs[ix]
-        slots = np.hstack(rows_parts)  # (chunk, N) indices into table
-        cells = table[slots]  # (chunk, N, n)
-        blocks = cells[:, :, col_of]  # (chunk, N, N)
-        perms = permanent_float_batch(blocks, size_limit=size_limit)
-        acc += float(np.dot(coeffs, perms))
-    return prefactor * acc
-
-
-def _resolve_method(method: str, families: Sequence[_Family]) -> str:
-    exact = any(f.kind == "exact" for f in families)
-    if method == "auto":
-        return "expand" if exact else "permanent"
-    if method == "permanent" and exact:
-        raise ValidationError("permanent route requires sampled form families")
-    if method not in ("expand", "permanent"):
-        raise ValidationError(f"unknown pairing method {method!r}")
-    return method
-
-
-def _column_divisor(col_vector: Sequence[int]) -> int:
-    out = 1
-    for c in col_vector:
-        out *= factorial(c)
-    return out
-
-
-def _pair_value(
-    families: Sequence[_Family],
-    col_vector: Sequence[int],
-    method: str,
-    term_cap: int,
-    size_limit: int,
-):
-    """Pairing of the family product against the column monomial, divided by
-    the column factorials: approximately the table count for these margins."""
-    if method == "expand":
-        pairing = _pair_expand(families, col_vector, term_cap)
-        divisor = _column_divisor(col_vector)
-        if isinstance(pairing, (int, Fraction)):
-            return Fraction(pairing, divisor)
-        return pairing / divisor
-    pairing = _pair_permanent(families, col_vector, term_cap, size_limit)
-    return pairing / float(_column_divisor(col_vector))
-
-
 def _band(epsilon: float, n_total: int) -> Tuple[float, float]:
     return ((1.0 - epsilon) ** n_total, (1.0 + epsilon) ** n_total)
 
 
-def _median(values: list):
-    return statistics.median(values)
-
-
-def _h_families(
-    rows: Tuple[int, ...],
-    n: int,
-    epsilon: float,
-    seed: int,
-    form_count: int | None,
-    exact_surrogate: bool,
-) -> List[_Family]:
-    families = []
-    for idx, r in enumerate(sorted(set(rows))):
-        mult = rows.count(r)
-        if exact_surrogate:
-            families.append(
-                _Family(
-                    kind="exact", r=r, mult=mult, scale=1, forms=None,
-                    poly=exact_h(n, r), num_vars=n,
-                )
-            )
-        else:
-            m_forms = form_count
-            if m_forms is None:
-                m_forms = min(choose_sample_count(r, epsilon, n), DEFAULT_FORMS_PER_VALUE)
-            approx = build_h_tilde(r, n, epsilon, derive_seed(seed, idx), form_count=m_forms)
-            families.append(
-                _Family(
-                    kind="power", r=r, mult=mult, scale=approx.scale, forms=approx.forms,
-                    poly=None, num_vars=n,
-                )
-            )
-    return families
-
-
-def _e_families(
-    rows: Tuple[int, ...],
-    n: int,
-    epsilon: float,
-    seed: int,
-    form_count: int | None,
-    exact_surrogate: bool,
-) -> List[_Family]:
-    families = []
-    for idx, r in enumerate(sorted(set(rows))):
-        mult = rows.count(r)
-        if exact_surrogate:
-            families.append(
-                _Family(
-                    kind="exact", r=r, mult=mult, scale=1, forms=None,
-                    poly=exact_e(n, r), num_vars=n,
-                )
-            )
-        else:
-            m_forms = form_count
-            if m_forms is None:
-                m_forms = min(
-                    choose_elementary_sample_count(r, epsilon, n), DEFAULT_FORMS_PER_VALUE
-                )
-            approx = build_e_tilde(r, n, epsilon, derive_seed(seed, idx), form_count=m_forms)
-            families.append(
-                _Family(
-                    kind="group", r=r, mult=mult, scale=approx.scale, forms=approx.forms,
-                    poly=None, num_vars=n,
-                )
-            )
-    return families
+def _check_epsilon(epsilon: float) -> None:
+    if not 0 < epsilon < 1:
+        raise ValidationError("epsilon must lie in (0, 1)")
 
 
 def _repeat_seeds(seed: int, repeats: int) -> List[int]:
@@ -907,16 +619,149 @@ def _repeat_seeds(seed: int, repeats: int) -> List[int]:
     return [derive_seed(seed, k) for k in range(repeats)]
 
 
+def _family_table(kind: str, r: int, n: int, epsilon: float, seed: int, forms: int, wrow):
+    """(a, [x^a] factor) pairs of one row factor over n column variables.
+
+    With forms > 0 the factor is the sampled family drawn from seed: h~_r, or
+    e~_r for kind "elementary"; a weight row scales each form's coefficients.
+    With forms == 0 it is the exact polynomial, times prod w^a for a weight row.
+    """
+    if not forms:
+        exact = exact_e(n, r) if kind == "elementary" else exact_h(n, r)
+        if wrow is None:
+            return exact.terms.items()
+        return [(a, math.prod(w**e for w, e in zip(wrow, a) if e)) for a in exact.terms]
+    if kind == "elementary":
+        return approx_coefficients(build_e_tilde(r, n, epsilon, seed, form_count=forms))
+    approx = build_h_tilde(r, n, epsilon, seed, form_count=forms)
+    if wrow is not None:
+        scaled = tuple(
+            LinearForm([g * float(w) for g, w in zip(f.coeffs, wrow)]) for f in approx.forms
+        )
+        approx = replace(approx, forms=scaled)
+    return approx_coefficients(approx)
+
+
+def _box_coefficient(tables, column_sets: Sequence[frozenset]):
+    """Sum over end vectors v with v_j in column_sets[j] of [x^v] prod factor^mult.
+
+    tables holds one ((a, coefficient) pairs, mult) per factor family.  The
+    state is the vector of column sums used so far, kept inside the box
+    0 <= v_j <= max(column_sets[j]); every term is non-negative, so nothing
+    cancels.  Plain dict arithmetic keeps int and Fraction coefficients exact.
+    Each row step charges its transitions to the node budget before it runs,
+    so an oversized input fails before it allocates the next state map.
+    """
+    budget = _NodeBudget(DEFAULT_NODE_BUDGET)
+    bound = tuple(max(allowed, default=0) for allowed in column_sets)
+    states = {(0,) * len(bound): 1}
+    for table, mult in tables:
+        table = [(a, coeff) for a, coeff in table if coeff and all(map(le, a, bound))]
+        for _ in range(mult):
+            budget.spend(len(states) * len(table))
+            nxt: Dict[Tuple[int, ...], Coeff] = {}
+            for used, value in states.items():
+                for a, coeff in table:
+                    key = tuple(map(add, used, a))
+                    if all(map(le, key, bound)):
+                        nxt[key] = nxt.get(key, 0) + value * coeff
+            states = nxt
+    return sum(value for v, value in states.items() if all(map(contains, column_sets, v)))
+
+
+def _admissible_count(column_sets: Sequence[frozenset], n_total: int) -> int:
+    """Number of column-sum vectors with entry j in column_sets[j] summing to n_total."""
+    ways = {0: 1}
+    for allowed in column_sets:
+        nxt: Dict[int, int] = {}
+        for partial, count in ways.items():
+            for v in allowed:
+                if partial + v <= n_total:
+                    nxt[partial + v] = nxt.get(partial + v, 0) + count
+        ways = nxt
+    return ways.get(n_total, 0)
+
+
+def _lowrank(
+    kind: str,
+    rows: Tuple[int, ...],
+    column_sets: Sequence[frozenset],
+    epsilon: float,
+    seed: int,
+    repeats: int,
+    form_count: int | None,
+    term_cap: int,
+    exact_surrogate: bool,
+    weights=None,
+) -> LowRankResult:
+    """Median over repeats of the box coefficient of the row-factor product.
+
+    Rows share one factor family per distinct row sum; with weights every row
+    is its own family.  Family k of a repeat draws its forms from
+    derive_seed(repeat seed, k).  The term count, the number of form
+    multisets the product expands into times the admissible column vectors,
+    is fixed by the form counts alone and checked before any form is drawn.
+    """
+    n = len(column_sets)
+    if weights is None:
+        families = [(r, rows.count(r), None) for r in sorted(set(rows))]
+        cap = DEFAULT_FORMS_PER_VALUE
+    else:
+        families = [(r, 1, wrow) for r, wrow in zip(rows, weights)]
+        cap = DEFAULT_WEIGHTED_FORMS_PER_ROW
+    choose = choose_elementary_sample_count if kind == "elementary" else choose_sample_count
+    form_counts = []
+    for r, _, _ in families:
+        if exact_surrogate:
+            form_counts.append(0)
+        elif form_count is not None:
+            form_counts.append(form_count)
+        else:
+            form_counts.append(min(choose(r, epsilon, n), cap))
+    per_vector = math.prod(
+        math.comb(m + mult - 1, mult) for m, (_, mult, _) in zip(form_counts, families) if m
+    )
+    vectors = _admissible_count(column_sets, sum(rows))
+    if vectors and per_vector > term_cap:
+        raise TermBudgetError(
+            f"pairing needs {per_vector} terms, cap is {term_cap}; "
+            "the cost grows as the product of per-value form-multiset counts",
+            limit=term_cap,
+        )
+    sub_seeds = _repeat_seeds(seed, repeats)
+    if exact_surrogate:
+        sub_seeds = sub_seeds[:1]  # the exact polynomials do not depend on the seed
+    values = []
+    for sub_seed in sub_seeds:
+        tables = [
+            (_family_table(kind, r, n, epsilon, derive_seed(sub_seed, k), m, wrow), mult)
+            for k, ((r, mult, wrow), m) in enumerate(zip(families, form_counts))
+        ]
+        value = _box_coefficient(tables, column_sets)
+        values.append(value if exact_surrogate else float(value))
+    return LowRankResult(
+        value=statistics.median(values),
+        guarantee_factor=_band(epsilon, sum(rows)),
+        epsilon=epsilon,
+        seed=seed,
+        form_counts=tuple(form_counts),
+        term_count=per_vector * vectors,
+        repeats=repeats,
+    )
+
+
+def _singletons(col_sums: Sequence[int]) -> List[frozenset]:
+    return [frozenset((c,)) for c in col_sums]
+
+
 def lowrank_asymptotic_count(
     margins: Margins,
     epsilon: float,
     seed: int,
     repeats: int = 1,
     form_count: int | None = None,
-    method: str = "auto",
     term_cap: int = DEFAULT_TERM_CAP,
     exact_surrogate: bool = False,
-    size_limit: int = DEFAULT_SIZE_LIMIT,
 ) -> LowRankResult:
     """Approximate table count via low-rank complete symmetric polynomials.
 
@@ -926,31 +771,10 @@ def lowrank_asymptotic_count(
     by the exact polynomials and the result is the exact count (a pipeline
     self-test, not an estimate).
     """
-    if not 0 < epsilon < 1:
-        raise ValidationError("epsilon must lie in (0, 1)")
-    values = []
-    last = None
-    for sub_seed in _repeat_seeds(seed, repeats):
-        families = _h_families(
-            margins.row_sums, margins.num_cols, epsilon, sub_seed, form_count, exact_surrogate
-        )
-        resolved = _resolve_method(method, families)
-        value = _pair_value(families, margins.col_sums, resolved, term_cap, size_limit)
-        term_count = math.prod(
-            math.comb(f.choice_count + f.mult - 1, f.mult) for f in families if f.forms
-        )
-        last = (families, resolved, term_count)
-        values.append(value)
-    families, resolved, term_count = last
-    return LowRankResult(
-        value=_median(values),
-        guarantee_factor=_band(epsilon, margins.total),
-        epsilon=epsilon,
-        seed=seed,
-        method=resolved,
-        form_counts=tuple(f.choice_count for f in families),
-        term_count=term_count,
-        repeats=repeats,
+    _check_epsilon(epsilon)
+    return _lowrank(
+        "complete", margins.row_sums, _singletons(margins.col_sums), epsilon, seed,
+        repeats, form_count, term_cap, exact_surrogate,
     )
 
 
@@ -960,92 +784,29 @@ def lowrank_01_count(
     seed: int,
     repeats: int = 1,
     form_count: int | None = None,
-    method: str = "auto",
     term_cap: int = DEFAULT_TERM_CAP,
     exact_surrogate: bool = False,
-    size_limit: int = DEFAULT_SIZE_LIMIT,
 ) -> LowRankResult:
     """Approximate 0-1 table count via low-rank elementary symmetric polynomials.
 
     Rows with r_i > n admit no 0-1 filling; the count is exactly 0 and is
     returned without sampling.
     """
-    if not 0 < epsilon < 1:
-        raise ValidationError("epsilon must lie in (0, 1)")
+    _check_epsilon(epsilon)
     if any(r > margins.num_cols for r in margins.row_sums):
         return LowRankResult(
             value=0.0,
             guarantee_factor=_band(epsilon, margins.total),
             epsilon=epsilon,
             seed=seed,
-            method="none",
             form_counts=(),
             term_count=0,
             repeats=repeats,
         )
-    values = []
-    last = None
-    for sub_seed in _repeat_seeds(seed, repeats):
-        families = _e_families(
-            margins.row_sums, margins.num_cols, epsilon, sub_seed, form_count, exact_surrogate
-        )
-        resolved = _resolve_method(method, families)
-        value = _pair_value(families, margins.col_sums, resolved, term_cap, size_limit)
-        term_count = math.prod(
-            math.comb(f.choice_count + f.mult - 1, f.mult) for f in families if f.forms
-        )
-        last = (families, resolved, term_count)
-        values.append(value)
-    families, resolved, term_count = last
-    return LowRankResult(
-        value=_median(values),
-        guarantee_factor=_band(epsilon, margins.total),
-        epsilon=epsilon,
-        seed=seed,
-        method=resolved,
-        form_counts=tuple(f.choice_count for f in families),
-        term_count=term_count,
-        repeats=repeats,
+    return _lowrank(
+        "elementary", margins.row_sums, _singletons(margins.col_sums), epsilon, seed,
+        repeats, form_count, term_cap, exact_surrogate,
     )
-
-
-def _admissible_column_vectors(
-    column_sets: Sequence[Sequence[int]], n_total: int, budget: int
-) -> List[Tuple[int, ...]]:
-    """All ways to pick one value per column summing to the row total."""
-    sets = []
-    for k, raw in enumerate(column_sets):
-        values = sorted({int(v) for v in raw})
-        if any(v < 0 for v in values):
-            raise ValidationError(f"column set {k} contains a negative sum")
-        sets.append([v for v in values if v <= n_total])
-    suffix_max = [0] * (len(sets) + 1)
-    for k in range(len(sets) - 1, -1, -1):
-        best = max(sets[k], default=0)
-        suffix_max[k] = suffix_max[k + 1] + best
-    out: List[Tuple[int, ...]] = []
-    nodes = 0
-
-    def rec(k: int, remaining: int, prefix: Tuple[int, ...]):
-        nonlocal nodes
-        if k == len(sets):
-            if remaining == 0:
-                out.append(prefix)
-            return
-        for v in sets[k]:
-            if v > remaining:
-                break
-            if remaining - v > suffix_max[k + 1]:
-                continue
-            nodes += 1
-            if nodes > budget:
-                raise EnumerationBudgetError(
-                    f"column-set search exceeded {budget} nodes", limit=budget
-                )
-            rec(k + 1, remaining - v, prefix + (v,))
-
-    rec(0, n_total, ())
-    return out
 
 
 def lowrank_column_sets_count(
@@ -1055,98 +816,31 @@ def lowrank_column_sets_count(
     seed: int,
     repeats: int = 1,
     form_count: int | None = None,
-    method: str = "auto",
     term_cap: int = DEFAULT_TERM_CAP,
     exact_surrogate: bool = False,
-    size_limit: int = DEFAULT_SIZE_LIMIT,
-    vector_budget: int = DEFAULT_VECTOR_BUDGET,
 ) -> LowRankResult:
     """Approximate number of tables whose column sums each lie in a given set.
 
     The column query factors as a sum of column monomials, so the value is the
-    sum over admissible column-sum vectors of the per-vector pairing; families
-    are built once per repeat and shared across vectors.
+    sum of the product's coefficients over every admissible column-sum vector;
+    one pass of the box dynamic program yields them all.
     """
-    rows = tuple(int(v) for v in row_sums)
+    rows = _integers(row_sums, "row sums")
     if not rows or any(v < 1 for v in rows):
         raise ValidationError("row sums must be positive integers")
-    if not 0 < epsilon < 1:
-        raise ValidationError("epsilon must lie in (0, 1)")
+    _check_epsilon(epsilon)
     if not column_sets:
         raise ValidationError("need at least one column set")
     n_total = sum(rows)
-    n = len(column_sets)
-    vectors = _admissible_column_vectors(column_sets, n_total, vector_budget)
-
-    values = []
-    last = None
-    for sub_seed in _repeat_seeds(seed, repeats):
-        families = _h_families(rows, n, epsilon, sub_seed, form_count, exact_surrogate)
-        resolved = _resolve_method(method, families)
-        per_term = math.prod(
-            math.comb(f.choice_count + f.mult - 1, f.mult) for f in families if f.forms
-        )
-        total = Fraction(0) if exact_surrogate else 0.0
-        for vec in vectors:
-            total = total + _pair_value(families, vec, resolved, term_cap, size_limit)
-        last = (families, resolved, per_term * len(vectors))
-        values.append(total)
-    families, resolved, term_count = last
-    return LowRankResult(
-        value=_median(values),
-        guarantee_factor=_band(epsilon, n_total),
-        epsilon=epsilon,
-        seed=seed,
-        method=resolved,
-        form_counts=tuple(f.choice_count for f in families),
-        term_count=term_count,
-        repeats=repeats,
+    sets = []
+    for k, raw in enumerate(column_sets):
+        values = set(_integers(raw, f"column set {k}"))
+        if any(v < 0 for v in values):
+            raise ValidationError(f"column set {k} contains a negative sum")
+        sets.append(frozenset(v for v in values if v <= n_total))
+    return _lowrank(
+        "complete", rows, sets, epsilon, seed, repeats, form_count, term_cap, exact_surrogate
     )
-
-
-def _weighted_families(
-    margins: Margins,
-    weights: WeightMatrix,
-    epsilon: float,
-    seed: int,
-    form_count: int | None,
-    exact_surrogate: bool,
-) -> List[_Family]:
-    n = margins.num_cols
-    families = []
-    w_np = weights.to_numpy()
-    for i, r in enumerate(margins.row_sums):
-        if exact_surrogate:
-            base = exact_h(n, r)
-            wrow = weights.entries[i]
-            terms = {}
-            for expo in base.terms:
-                coeff: Coeff = 1
-                for j, a in enumerate(expo):
-                    if a:
-                        coeff = coeff * wrow[j] ** a
-                if coeff != 0:
-                    terms[expo] = coeff
-            families.append(
-                _Family(kind="exact", r=r, mult=1, scale=1, forms=None,
-                        poly=SparsePolynomial(n, terms), num_vars=n)
-            )
-        else:
-            m_forms = form_count
-            if m_forms is None:
-                m_forms = min(
-                    choose_sample_count(r, epsilon, n), DEFAULT_WEIGHTED_FORMS_PER_ROW
-                )
-            delta = 1.0 - math.sqrt(1.0 - epsilon)
-            spec = solve_threshold(r, delta)
-            seeds = derive_seed_block(derive_seed(seed, i), m_forms)
-            gamma = truncated_exponential_matrix(seeds, n, spec.kappa) * w_np[i]
-            forms = tuple(LinearForm([float(v) for v in row]) for row in gamma)
-            families.append(
-                _Family(kind="power", r=r, mult=1, scale=1.0 / (factorial(r) * m_forms),
-                        forms=forms, poly=None, num_vars=n)
-            )
-    return families
 
 
 def lowrank_weighted_count(
@@ -1156,10 +850,8 @@ def lowrank_weighted_count(
     seed: int,
     repeats: int = 1,
     form_count: int | None = None,
-    method: str = "auto",
     term_cap: int = DEFAULT_TERM_CAP,
     exact_surrogate: bool = False,
-    size_limit: int = DEFAULT_SIZE_LIMIT,
     rank_bound: int = DEFAULT_RANK_BOUND,
 ) -> LowRankResult:
     """Approximate weight-power sum over tables (the mc_weighted_count target).
@@ -1170,36 +862,15 @@ def lowrank_weighted_count(
     check guards the regime in which the low-rank guarantee is meaningful.
     """
     _check_weight_shape(margins, weights)
-    if not 0 < epsilon < 1:
-        raise ValidationError("epsilon must lie in (0, 1)")
+    _check_epsilon(epsilon)
     rank = weights.numerical_rank()
     if rank > rank_bound:
         raise RankBoundError(
             f"weight matrix rank {rank} exceeds bound {rank_bound}"
         )
-    values = []
-    last = None
-    for sub_seed in _repeat_seeds(seed, repeats):
-        families = _weighted_families(
-            margins, weights, epsilon, sub_seed, form_count, exact_surrogate
-        )
-        resolved = _resolve_method(method, families)
-        value = _pair_value(families, margins.col_sums, resolved, term_cap, size_limit)
-        term_count = math.prod(
-            math.comb(f.choice_count + f.mult - 1, f.mult) for f in families if f.forms
-        )
-        last = (families, resolved, term_count)
-        values.append(value)
-    families, resolved, term_count = last
-    return LowRankResult(
-        value=_median(values),
-        guarantee_factor=_band(epsilon, margins.total),
-        epsilon=epsilon,
-        seed=seed,
-        method=resolved,
-        form_counts=tuple(f.choice_count for f in families),
-        term_count=term_count,
-        repeats=repeats,
+    return _lowrank(
+        "complete", margins.row_sums, _singletons(margins.col_sums), epsilon, seed,
+        repeats, form_count, term_cap, exact_surrogate, weights=weights.entries,
     )
 
 
@@ -1207,27 +878,54 @@ def lowrank_weighted_count(
 # file interchange
 
 
-def margins_from_json_text(text: str) -> Margins:
-    data = json.loads(text)
+def _json_object(text: str, what: str):
     try:
-        return Margins(data["rows"], data["cols"])
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"{what} is not valid JSON: {exc}") from exc
+
+
+def margins_from_json_text(text: str) -> Margins:
+    data = _json_object(text, "margins file")
+    if not isinstance(data, dict):
+        raise ValidationError("margins JSON must be an object with rows and cols")
+    try:
+        rows, cols = data["rows"], data["cols"]
     except KeyError as exc:
         raise ValidationError(f"margins JSON lacks key {exc}") from exc
+    if not isinstance(rows, list) or not isinstance(cols, list):
+        raise ValidationError("margins JSON rows and cols must be lists")
+    return Margins(rows, cols)
 
 
 def margins_from_csv_text(text: str) -> Margins:
     lines = [ln.strip() for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
     if len(lines) < 2:
         raise ValidationError("margins CSV needs a row-sums line and a column-sums line")
-    rows = [int(v) for v in lines[0].replace(",", " ").split()]
-    cols = [int(v) for v in lines[1].replace(",", " ").split()]
+    try:
+        rows = [int(v) for v in lines[0].replace(",", " ").split()]
+        cols = [int(v) for v in lines[1].replace(",", " ").split()]
+    except ValueError as exc:
+        raise ValidationError(f"margins CSV holds a non-integer sum: {exc}") from exc
     return Margins(rows, cols)
 
 
+def _weight_value(token: str) -> Coeff:
+    try:
+        return parse_coeff(token)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValidationError(f"bad weight {token!r}") from exc
+
+
 def weights_from_json_text(text: str) -> WeightMatrix:
-    data = json.loads(text)
-    grid = data["weights"] if isinstance(data, dict) else data
-    decoded = [[parse_coeff(v) if isinstance(v, str) else v for v in row] for row in grid]
+    data = _json_object(text, "weights file")
+    if isinstance(data, dict):
+        if "weights" not in data:
+            raise ValidationError("weights JSON lacks key 'weights'")
+        data = data["weights"]
+    if not isinstance(data, list) or not all(isinstance(row, list) for row in data):
+        raise ValidationError("weights JSON must hold a list of rows")
+    decoded = [[_weight_value(v) if isinstance(v, str) else v for v in row] for row in data]
     return WeightMatrix(decoded)
 
 
@@ -1237,7 +935,7 @@ def weights_from_csv_text(text: str) -> WeightMatrix:
         ln = ln.strip()
         if not ln or ln.startswith("#"):
             continue
-        rows.append([parse_coeff(cell.strip()) for cell in ln.split(",")])
+        rows.append([_weight_value(cell.strip()) for cell in ln.split(",")])
     if not rows:
         raise ValidationError("empty weights CSV")
     return WeightMatrix(rows)

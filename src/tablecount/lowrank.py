@@ -108,17 +108,6 @@ def truncated_moment(kappa: float, alpha: int) -> float:
     return factorial(alpha) * (1.0 - truncation_tail(kappa, alpha))
 
 
-def sample_truncated_exponential(spec: TruncationSpec, stream: SplitMix64Stream) -> float:
-    """One draw: a standard exponential, zeroed when it exceeds the threshold."""
-    return float(stream.truncated_exponential(1, spec.kappa)[0])
-
-
-def sample_truncated_exponentials(
-    spec: TruncationSpec, stream: SplitMix64Stream, count: int
-) -> np.ndarray:
-    return stream.truncated_exponential(count, spec.kappa)
-
-
 def choose_sample_count(r: int, epsilon: float, n: int) -> int:
     """Form count for the complete-kind approximation with success probability >= 2/3.
 
@@ -400,21 +389,16 @@ def approx_coefficients(
             yield tuple(expo), approx.scale * count
 
 
-def verify_coefficients(
-    approx: ApproxSymmetricPoly, budget: int = DEFAULT_ENUMERATION_BUDGET
-) -> CoefficientReport:
-    """Compare every coefficient against the exact value 1; report the band check.
-
-    The guarantee band is [(1-eps)^r, (1+eps)^r]; a monomial lands in the
-    violations list when its coefficient leaves the band.
-    """
-    lo = (1.0 - approx.epsilon) ** approx.r
-    hi = (1.0 + approx.epsilon) ** approx.r
+def _band_report(coefficients, r: int, epsilon: float) -> CoefficientReport:
+    """Scan (exponent vector, coefficient) pairs against the band
+    [(1-eps)^r, (1+eps)^r] around the exact value 1."""
+    lo = (1.0 - epsilon) ** r
+    hi = (1.0 + epsilon) ** r
     min_ratio = math.inf
     max_ratio = -math.inf
     violations = []
     checked = 0
-    for expo, coeff in approx_coefficients(approx, budget=budget):
+    for expo, coeff in coefficients:
         checked += 1
         min_ratio = min(min_ratio, coeff)
         max_ratio = max(max_ratio, coeff)
@@ -429,38 +413,28 @@ def verify_coefficients(
     )
 
 
+def verify_coefficients(
+    approx: ApproxSymmetricPoly, budget: int = DEFAULT_ENUMERATION_BUDGET
+) -> CoefficientReport:
+    """Compare every coefficient against the exact value 1; report the band check.
+
+    The guarantee band is [(1-eps)^r, (1+eps)^r]; a monomial lands in the
+    violations list when its coefficient leaves the band.
+    """
+    return _band_report(approx_coefficients(approx, budget=budget), approx.r, approx.epsilon)
+
+
 def verify_polynomial_coefficients(
     poly: SparsePolynomial, r: int, epsilon: float, kind: str = "complete"
 ) -> CoefficientReport:
     """Band check for an explicitly expanded polynomial (exact-surrogate path)."""
     n = poly.num_vars
-    lo = (1.0 - epsilon) ** r
-    hi = (1.0 + epsilon) ** r
     if kind == "complete":
         monomials = combinations_with_replacement(range(n), r)
     else:
         monomials = combinations(range(n), r)
-    min_ratio = math.inf
-    max_ratio = -math.inf
-    violations = []
-    checked = 0
-    for combo in monomials:
-        expo = [0] * n
-        for j in combo:
-            expo[j] += 1
-        coeff = float(poly.coefficient(tuple(expo)))
-        checked += 1
-        min_ratio = min(min_ratio, coeff)
-        max_ratio = max(max_ratio, coeff)
-        if not lo <= coeff <= hi:
-            violations.append(tuple(expo))
-    return CoefficientReport(
-        min_ratio=min_ratio,
-        max_ratio=max_ratio,
-        band=(lo, hi),
-        violations=tuple(violations),
-        checked=checked,
-    )
+    expos = (tuple(combo.count(j) for j in range(n)) for combo in monomials)
+    return _band_report(((e, float(poly.coefficient(e))) for e in expos), r, epsilon)
 
 
 def expected_h_coefficient(kappa: float, exponents: Sequence[int]) -> float:

@@ -10,16 +10,12 @@ per-matrix results do not depend on how the batch is chunked.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
-from fractions import Fraction
 from typing import List, Sequence
 
 import numpy as np
 
 from .errors import DimensionMismatchError, PermanentSizeError, ValidationError
-from .polynomial import Coeff, LinearForm, format_coeff, parse_coeff
+from .polynomial import Coeff, LinearForm
 
 DEFAULT_SIZE_LIMIT = 22
 
@@ -45,12 +41,6 @@ class SquareMatrix:
 
     def __repr__(self) -> str:
         return f"SquareMatrix({self.size}x{self.size})"
-
-    def row(self, i: int) -> tuple:
-        return self.entries[i]
-
-    def is_float(self) -> bool:
-        return any(isinstance(v, float) for row in self.entries for v in row)
 
     def to_numpy(self) -> np.ndarray:
         return np.array(self.entries, dtype=np.float64)
@@ -203,38 +193,3 @@ def pairing_via_permanent(
 ) -> Coeff:
     """Scalar product of two products of N forms, as the permanent of their Gram matrix."""
     return permanent_exact(gram_matrix(F, G), size_limit=size_limit)
-
-
-def matrix_to_csv(matrix: SquareMatrix) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    for row in matrix.entries:
-        writer.writerow([format_coeff(v) for v in row])
-    return buf.getvalue()
-
-
-def matrix_from_csv(text: str) -> SquareMatrix:
-    rows = []
-    for record in csv.reader(io.StringIO(text)):
-        if not record:
-            continue
-        rows.append([parse_coeff(cell) for cell in record])
-    if not rows:
-        raise ValidationError("empty CSV matrix")
-    return SquareMatrix(rows)
-
-
-def matrix_to_json(matrix: SquareMatrix) -> str:
-    def encode(v):
-        return format_coeff(v) if isinstance(v, Fraction) else v
-
-    return json.dumps([[encode(v) for v in row] for row in matrix.entries])
-
-
-def matrix_from_json(text: str) -> SquareMatrix:
-    data = json.loads(text)
-
-    def decode(v):
-        return parse_coeff(v) if isinstance(v, str) else v
-
-    return SquareMatrix([[decode(v) for v in row] for row in data])

@@ -103,13 +103,6 @@ class SparsePolynomial:
         """Total degree; zero polynomial reports 0."""
         return max((sum(e) for e in self.terms), default=0)
 
-    def is_homogeneous(self) -> bool:
-        degrees = {sum(e) for e in self.terms}
-        return len(degrees) <= 1
-
-    def map_coefficients(self, fn) -> "SparsePolynomial":
-        return SparsePolynomial(self.num_vars, {e: fn(c) for e, c in self.terms.items()})
-
     def add(self, other: "SparsePolynomial") -> "SparsePolynomial":
         if self.num_vars != other.num_vars:
             raise DimensionMismatchError("adding polynomials over different variables")

@@ -62,10 +62,13 @@ def _raw_block(seed: int, start: int, count: int) -> np.ndarray:
 
 
 def derive_seed_block(seed: int, count: int) -> np.ndarray:
-    """Child seeds 0..count-1 as one uint64 array; row i equals derive_seed(seed, i)."""
+    """Child seeds 0..count-1 as one uint64 array; row i equals derive_seed(seed, i).
+
+    Like derive_seed, any integer seed is taken mod 2^64.
+    """
     idx = np.arange(1, count + 1, dtype=np.uint64)
     tags = _mix_block(idx * np.uint64(_SPLIT))
-    return _mix_block(np.uint64(seed) ^ tags)
+    return _mix_block(np.uint64(seed & MASK64) ^ tags)
 
 
 def uniform_matrix(seeds: np.ndarray, columns: int) -> np.ndarray:

@@ -130,6 +130,40 @@ def test_missing_file_exits_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "command,flag,name,text",
+    [
+        ("count", "--margins-file", "m.json", '{"rows": [2.5, 2], "cols": [2, 2]}'),
+        ("count", "--margins-file", "m.json", '{"rows": [true, 1], "cols": [1, 1]}'),
+        ("count", "--margins-file", "m.json", '{"rows": [2, 2], "cols": [2,'),
+        ("count", "--margins-file", "m.json", '[[2, 2], [2, 2]]'),
+        ("count", "--margins-file", "m.csv", "2,2.5\n2,2\n"),
+        ("weighted", "--weights-file", "w.json", '{"grid": [[1, 2], [2, 1]]}'),
+        ("weighted", "--weights-file", "w.json", '{"weights": [[1, 2], [2, 1]'),
+        ("weighted", "--weights-file", "w.json", '{"weights": [[1, null], [2, 1]]}'),
+        ("weighted", "--weights-file", "w.csv", "1,one\n1,1\n"),
+    ],
+)
+def test_bad_input_file_exits_2(capsys, tmp_path, command, flag, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    argv = [command, flag, str(path)]
+    if command == "weighted":
+        argv += ["--rows", "2,2", "--cols", "2,2"]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == "" and err.count("\n") == 1
+    assert "error" in json.loads(err)
+
+
+def test_seed_taken_mod_2_64(capsys):
+    argv = ["estimate", "--rows", "2,2", "--cols", "2,2", "--samples", "200"]
+    negative = run_json(capsys, *argv, "--seed", "-1")
+    wrapped = run_json(capsys, *argv, "--seed", str(2**64 - 1))
+    assert negative["mean"] == wrapped["mean"]
+    assert run_json(capsys, *argv, "--seed", str(10**23))["samples"] == 200
+
+
 def test_weighted_exact(capsys, tmp_path):
     path = tmp_path / "w.json"
     path.write_text('{"weights": [["1", "2"], ["1/2", "1"]]}')

@@ -1,19 +1,29 @@
+import itertools
+import math
 from fractions import Fraction
 
 import pytest
 
-from tablecount.errors import RankBoundError, TermBudgetError, ValidationError
+from tablecount.errors import (
+    EnumerationBudgetError,
+    RankBoundError,
+    TermBudgetError,
+    ValidationError,
+)
 from tablecount.counting import (
     Margins,
     WeightMatrix,
     exact_count_01,
     exact_count_dp,
+    iter_tables,
     lowrank_01_count,
     lowrank_asymptotic_count,
     lowrank_column_sets_count,
     lowrank_weighted_count,
     weighted_count_bruteforce,
 )
+from tablecount.lowrank import build_e_tilde, build_h_tilde
+from tablecount.rng import derive_seed
 
 
 SMALL_MARGINS = [
@@ -33,20 +43,69 @@ def test_exact_surrogate_reproduces_exact_count(rows, cols):
     assert isinstance(res.value, Fraction) or float(res.value).is_integer()
 
 
-def test_exact_surrogate_uses_expand_route():
-    m = Margins([2, 2], [2, 2])
-    res = lowrank_asymptotic_count(m, epsilon=0.3, seed=0, exact_surrogate=True)
-    assert res.method == "expand"
-    with pytest.raises(ValidationError):
-        lowrank_asymptotic_count(m, epsilon=0.3, seed=0, exact_surrogate=True, method="permanent")
+def _complete_coefficient(approx, a, wrow):
+    """[x^a] of scale * sum_s (sum_j w_j g_sj x_j)^r, straight from the forms."""
+    multinomial = math.factorial(approx.r) / math.prod(math.factorial(e) for e in a)
+    return approx.scale * multinomial * sum(
+        math.prod((w * g) ** e for w, g, e in zip(wrow, form.coeffs, a)) for form in approx.forms
+    )
 
 
-def test_sampled_routes_agree():
-    m = Margins([2, 2], [2, 2])
-    a = lowrank_asymptotic_count(m, epsilon=0.25, seed=12, form_count=6, method="expand")
-    b = lowrank_asymptotic_count(m, epsilon=0.25, seed=12, form_count=6, method="permanent")
-    assert a.value == pytest.approx(b.value, rel=1e-9)
-    assert a.method == "expand" and b.method == "permanent"
+def _elementary_coefficient(approx, a):
+    """[x^a] of scale * sum over groups of the product of their 0/1 forms: scale
+    times the number of stored surjections that are bijective on the support of a."""
+    if max(a) > 1:
+        return 0.0
+    bijective = sum(
+        all(sum(e for c, e in zip(form.coeffs, a) if c) == 1 for form in group)
+        for group in approx.forms
+    )
+    return approx.scale * bijective
+
+
+@pytest.mark.parametrize("case", ["h", "e", "weighted", "colsets"])
+def test_box_dp_matches_sum_over_tables(case):
+    # the box dynamic program against an independent sum over every table of
+    # the product of per-row coefficients, computed from the same drawn forms
+    rows, cols, eps, seed, forms = (2, 2, 1), (2, 2, 1), 0.3, 11, 5
+    weights = [[1, 2, 0.5], [2, 4, 1], [0.5, 1, 3]]
+    family = [sorted(set(rows)).index(r) for r in rows]
+    wrows = [(1, 1, 1)] * len(rows)
+    col_vectors = [cols]
+    build = build_h_tilde
+    per_vector = math.prod(math.comb(forms + rows.count(r) - 1, rows.count(r)) for r in set(rows))
+    if case == "h":
+        res = lowrank_asymptotic_count(Margins(rows, cols), eps, seed, form_count=forms)
+    elif case == "e":
+        res = lowrank_01_count(Margins(rows, cols), eps, seed, form_count=forms)
+        build = build_e_tilde
+    elif case == "weighted":
+        res = lowrank_weighted_count(
+            Margins(rows, cols), WeightMatrix(weights), eps, seed, form_count=forms
+        )
+        family, wrows, per_vector = range(len(rows)), weights, forms ** len(rows)
+    else:
+        sets = [(1, 2), (1, 2, 3), (1, 2)]
+        res = lowrank_column_sets_count(rows, sets, eps, seed, form_count=forms)
+        col_vectors = [v for v in itertools.product(*sets) if sum(v) == sum(rows)]
+    approxes = [
+        build(r, len(cols), eps, derive_seed(seed, k), form_count=forms)
+        for r, k in zip(rows, family)
+    ]
+
+    def coefficient(i, a):
+        if case == "e":
+            return _elementary_coefficient(approxes[i], a)
+        return _complete_coefficient(approxes[i], a, wrows[i])
+
+    expected = sum(
+        math.prod(coefficient(i, a) for i, a in enumerate(table))
+        for vector in col_vectors
+        for table in iter_tables(Margins(rows, vector))
+    )
+    assert expected > 0
+    assert res.value == pytest.approx(expected, rel=1e-12)
+    assert res.term_count == per_vector * len(col_vectors)
 
 
 def test_sampled_value_lands_in_guarantee_band_often():
@@ -82,9 +141,14 @@ def test_form_counts_recorded():
 def test_term_cap_enforced():
     m = Margins([2, 2], [2, 2])
     with pytest.raises(TermBudgetError):
-        lowrank_asymptotic_count(m, epsilon=0.25, seed=0, form_count=40, method="expand", term_cap=50)
-    with pytest.raises(TermBudgetError):
-        lowrank_asymptotic_count(m, epsilon=0.25, seed=0, form_count=40, method="permanent", term_cap=50)
+        lowrank_asymptotic_count(m, epsilon=0.25, seed=0, form_count=40, term_cap=50)
+
+
+def test_box_dp_node_budget_fails_fast():
+    # 92378 monomials per row: the second row step would need 92378^2 transitions
+    m = Margins([10] * 10, [10] * 10)
+    with pytest.raises(EnumerationBudgetError):
+        lowrank_asymptotic_count(m, epsilon=0.2, seed=0, exact_surrogate=True)
 
 
 def test_lowrank_determinism():
@@ -108,7 +172,6 @@ def test_01_infeasible_short_circuits():
     m = Margins([3, 1], [2, 2])
     res = lowrank_01_count(m, epsilon=0.3, seed=5)
     assert res.value == 0.0
-    assert res.method == "none"
     assert res.form_counts == ()
 
 
@@ -160,6 +223,10 @@ def test_column_sets_empty_when_no_vector_fits():
 def test_column_sets_rejects_negative():
     with pytest.raises(ValidationError):
         lowrank_column_sets_count([2], [[-1, 2]], epsilon=0.3, seed=0)
+    with pytest.raises(ValidationError):
+        lowrank_column_sets_count([2.5, 1], [[1, 2], [1, 2]], epsilon=0.3, seed=0)
+    with pytest.raises(ValidationError):
+        lowrank_column_sets_count([2, 1], [[1, 2], [1.5, 2]], epsilon=0.3, seed=0)
 
 
 def test_weighted_exact_surrogate_matches_bruteforce():

@@ -18,8 +18,6 @@ from tablecount.lowrank import (
     exact_h,
     expected_h_coefficient,
     approx_coefficients,
-    sample_truncated_exponential,
-    sample_truncated_exponentials,
     solve_threshold,
     surjection_count,
     truncated_moment,
@@ -67,11 +65,10 @@ def test_truncated_moment_matches_numeric_integration():
 
 def test_truncated_draws_bounded_and_moments():
     spec = solve_threshold(2, 0.1)
-    stream = SplitMix64Stream(17)
-    single = sample_truncated_exponential(spec, stream)
+    single = SplitMix64Stream(17).truncated_exponential(1, spec.kappa)[0]
     assert 0.0 <= single <= spec.kappa
 
-    draws = sample_truncated_exponentials(spec, SplitMix64Stream(18), 10**6)
+    draws = SplitMix64Stream(18).truncated_exponential(10**6, spec.kappa)
     assert draws.max() <= spec.kappa
     for alpha in (1, 2):
         emp = np.mean(draws**alpha)

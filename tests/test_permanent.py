@@ -10,10 +10,6 @@ from tablecount.permanent import (
     SquareMatrix,
     build_block_matrix,
     gram_matrix,
-    matrix_from_csv,
-    matrix_from_json,
-    matrix_to_csv,
-    matrix_to_json,
     pairing_via_permanent,
     permanent_exact,
     permanent_float_batch,
@@ -160,13 +156,3 @@ def test_build_block_matrix_repeats_columns():
 def test_block_structure_total_mismatch():
     with pytest.raises(ValidationError):
         BlockStructure([2, 1], [1, 1])
-
-
-def test_csv_round_trip():
-    m = SquareMatrix([[Fraction(1, 3), 2], [0.5, -4]])
-    assert matrix_from_csv(matrix_to_csv(m)) == m
-
-
-def test_json_round_trip():
-    m = SquareMatrix([[Fraction(1, 3), 2], [0.5, -4]])
-    assert matrix_from_json(matrix_to_json(m)) == m

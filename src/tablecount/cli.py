@@ -10,20 +10,24 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
 from fractions import Fraction
 from typing import Any, Dict, List, Optional, Sequence
 
+import numpy as np
+
 from .errors import BudgetError, SurjectionSamplingError, TableCountError, ValidationError
-from .lowrank import build_e_tilde, build_h_tilde, verify_coefficients
+from .lowrank import approx_coefficients, build_e_tilde, build_h_tilde, verify_coefficients
 from .permanent import DEFAULT_SIZE_LIMIT
-from .polynomial import DEFAULT_TERM_CAP, poly_to_text
+from .polynomial import DEFAULT_TERM_CAP, SparsePolynomial, poly_to_text
 from .counting import (
     Margins,
     WeightMatrix,
     bekessy_estimate,
+    bekessy_log_estimate,
     exact_count_01,
     exact_count_dp,
     fisher_yates_count,
@@ -46,8 +50,11 @@ DEFAULT_SEED = 1729
 _SAFE_INT = 1 << 53
 
 
-def _encode(value: Any) -> Any:
-    """JSON-safe encoding: exact values go to strings when floats would lie."""
+def _encode(value: Any, field: str = "report") -> Any:
+    """JSON-safe encoding: exact values go to strings when floats would lie.
+
+    A non-finite float has no JSON form; it fails validation, naming its field.
+    """
     if isinstance(value, bool):
         return value
     if isinstance(value, Fraction):
@@ -55,11 +62,13 @@ def _encode(value: Any) -> Any:
     if isinstance(value, int):
         return value if abs(value) < _SAFE_INT else str(value)
     if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValidationError(f"report field {field!r} is not finite ({value})")
         return value
     if isinstance(value, (list, tuple)):
-        return [_encode(v) for v in value]
+        return [_encode(v, field) for v in value]
     if isinstance(value, dict):
-        return {k: _encode(v) for k, v in value.items()}
+        return {k: _encode(v, k) for k, v in value.items()}
     return value
 
 
@@ -121,31 +130,25 @@ def _margins_echo(margins: Margins) -> Dict[str, Any]:
     return {"rows": list(margins.row_sums), "cols": list(margins.col_sums)}
 
 
-def _cmd_count(args: argparse.Namespace) -> Dict[str, Any]:
+# margins-only commands: the (function, report key) pairs each one reports.
+# The lambdas look their function up when called, so a wrapper put on this
+# module's attribute (a profiler, a test double) sees every call.
+_MARGIN_COMMANDS = {
+    "count": ((lambda m: exact_count_dp(m), "count"),),
+    "count01": ((lambda m: exact_count_01(m), "count"),),
+    "fy": ((lambda m: fisher_yates_count(m), "value"),),
+    "bekessy": (
+        (lambda m: bekessy_estimate(m), "value"),
+        (lambda m: bekessy_log_estimate(m), "log_value"),
+    ),
+}
+
+
+def _cmd_margins(args: argparse.Namespace) -> Dict[str, Any]:
     margins = _load_margins(args)
     report = _margins_echo(margins)
-    report["count"] = exact_count_dp(margins)
-    return report
-
-
-def _cmd_count01(args: argparse.Namespace) -> Dict[str, Any]:
-    margins = _load_margins(args)
-    report = _margins_echo(margins)
-    report["count"] = exact_count_01(margins)
-    return report
-
-
-def _cmd_fy(args: argparse.Namespace) -> Dict[str, Any]:
-    margins = _load_margins(args)
-    report = _margins_echo(margins)
-    report["value"] = fisher_yates_count(margins)
-    return report
-
-
-def _cmd_bekessy(args: argparse.Namespace) -> Dict[str, Any]:
-    margins = _load_margins(args)
-    report = _margins_echo(margins)
-    report["value"] = bekessy_estimate(margins)
+    for function, key in _MARGIN_COMMANDS[args.command]:
+        report[key] = function(margins)
     return report
 
 
@@ -164,7 +167,7 @@ def _cmd_weighted(args: argparse.Namespace) -> Dict[str, Any]:
     report = _margins_echo(margins)
     report["method"] = args.method
     if args.method == "exact":
-        report["value"] = weighted_fy_count(margins, weights, size_limit=args.perm_cap)
+        report["value"] = weighted_fy_count(margins, weights)
     elif args.method == "mc":
         seed = _resolve_seed(args)
         est = mc_weighted_count(margins, weights, args.samples, seed, size_limit=args.perm_cap)
@@ -210,21 +213,8 @@ def _lowrank_fields(res: Any) -> Dict[str, Any]:
 
 def _cmd_lowrank(args: argparse.Namespace) -> Dict[str, Any]:
     margins = _load_margins(args)
-    res = lowrank_asymptotic_count(
-        margins,
-        args.epsilon,
-        _resolve_seed(args),
-        repeats=args.repeats,
-        term_cap=args.term_cap,
-    )
-    report = _margins_echo(margins)
-    report.update(_lowrank_fields(res))
-    return report
-
-
-def _cmd_lowrank01(args: argparse.Namespace) -> Dict[str, Any]:
-    margins = _load_margins(args)
-    res = lowrank_01_count(
+    count = lowrank_01_count if args.command == "lowrank01" else lowrank_asymptotic_count
+    res = count(
         margins,
         args.epsilon,
         _resolve_seed(args),
@@ -263,7 +253,8 @@ def _cmd_verify_coeffs(args: argparse.Namespace) -> Dict[str, Any]:
     rep = verify_coefficients(approx)
     if args.dump_poly is not None:
         with open(args.dump_poly, "w", encoding="utf-8") as handle:
-            handle.write(poly_to_text(approx.expand()))
+            poly = SparsePolynomial(approx.num_vars, dict(approx_coefficients(approx)))
+            handle.write(poly_to_text(poly))
     lo, hi = rep.band
     return {
         "kind": args.kind,
@@ -311,7 +302,7 @@ def _cmd_compare(args: argparse.Namespace) -> Dict[str, Any]:
         start = time.perf_counter()
         got = value()
         ms = (time.perf_counter() - start) * 1000.0
-        rel = abs(float(got) / exact - 1.0) if exact else float("nan")
+        rel = None if got is None else abs(float(got) / exact - 1.0)
         methods.append({"method": name, "value": got, "rel_error": rel, "ms": round(ms, 3)})
 
     add("exact", lambda: exact)
@@ -337,14 +328,11 @@ def _cmd_compare(args: argparse.Namespace) -> Dict[str, Any]:
 
 
 _HANDLERS = {
-    "count": _cmd_count,
-    "count01": _cmd_count01,
-    "fy": _cmd_fy,
-    "bekessy": _cmd_bekessy,
+    **dict.fromkeys(_MARGIN_COMMANDS, _cmd_margins),
     "estimate": _cmd_estimate,
     "weighted": _cmd_weighted,
     "lowrank": _cmd_lowrank,
-    "lowrank01": _cmd_lowrank01,
+    "lowrank01": _cmd_lowrank,
     "lowrank-colsets": _cmd_lowrank_colsets,
     "verify-coeffs": _cmd_verify_coeffs,
     "variance": _cmd_variance,
@@ -368,18 +356,26 @@ def _add_common_flags(sub: argparse.ArgumentParser, term_cap: bool = False,
                               "checked before any sampling")
     if perm_cap:
         sub.add_argument("--perm-cap", type=int, default=DEFAULT_SIZE_LIMIT,
-                         help="maximum permanent matrix size before failing")
+                         help="maximum permanent matrix size of the Monte Carlo routes")
     sub.add_argument("--output", choices=("json", "table"), default="json")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument errors raise ValidationError, so they leave as single-line
+    JSON like every other error; -h still prints help."""
+
+    def error(self, message: str):
+        raise ValidationError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tablecount",
         description="Count integer matrices with prescribed row and column sums.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
-    for name in ("count", "count01", "fy", "bekessy"):
+    for name in _MARGIN_COMMANDS:
         sub = subs.add_parser(name)
         _add_margin_flags(sub)
         _add_common_flags(sub)
@@ -417,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--degree", type=int, required=True)
     sub.add_argument("--vars", type=int, required=True)
     sub.add_argument("--epsilon", type=float, default=0.2)
-    sub.add_argument("--dump-poly", help="write the expanded polynomial to this path")
+    sub.add_argument("--dump-poly", help="write the approximating polynomial to this path")
     _add_common_flags(sub)
 
     sub = subs.add_parser("variance")
@@ -443,10 +439,11 @@ def _render_table(report: Dict[str, Any]) -> str:
                 lines.append(f"{key:<12} {value}")
         lines.append(f"{'method':<12} {'value':>16} {'rel_error':>12} {'ms':>10}")
         for row in report["methods"]:
-            value = row["value"]
+            value, rel = row["value"], row["rel_error"]
             shown = f"{value:.6g}" if isinstance(value, float) else str(value)
+            rel_shown = "-" if rel is None else f"{rel:.4g}"
             lines.append(
-                f"{row['method']:<12} {shown:>16} {row['rel_error']:>12.4g} {row['ms']:>10.3f}"
+                f"{row['method']:<12} {shown:>16} {rel_shown:>12} {row['ms']:>10.3f}"
             )
     else:
         for key, value in report.items():
@@ -454,28 +451,31 @@ def _render_table(report: Dict[str, Any]) -> str:
     return "\n".join(lines)
 
 
+def _fail(message: str, code: int) -> int:
+    print(json.dumps({"error": message}), file=sys.stderr)
+    return code
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    start = time.perf_counter()
     try:
-        report = _HANDLERS[args.command](args)
-    except ValidationError as exc:
-        print(json.dumps({"error": str(exc)}), file=sys.stderr)
-        return 2
+        args = build_parser().parse_args(argv)
+        start = time.perf_counter()
+        # non-finite floats are reported by _encode, so numpy need not warn
+        with np.errstate(all="ignore"):
+            report = _HANDLERS[args.command](args)
+        report = {"command": args.command, **report}
+        report["elapsed_ms"] = round((time.perf_counter() - start) * 1000.0, 3)
+        encoded = _encode(report)
     except (BudgetError, SurjectionSamplingError) as exc:
-        print(json.dumps({"error": str(exc)}), file=sys.stderr)
-        return 3
+        return _fail(str(exc), 3)
     except TableCountError as exc:
-        print(json.dumps({"error": str(exc)}), file=sys.stderr)
-        return 2
-    report = {"command": args.command, **report}
-    report["elapsed_ms"] = round((time.perf_counter() - start) * 1000.0, 3)
-    encoded = _encode(report)
+        return _fail(str(exc), 2)
+    except OverflowError as exc:
+        return _fail(f"the result overflows a float: {exc}", 2)
     if args.output == "table":
         print(_render_table(encoded))
     else:
-        print(json.dumps(encoded, sort_keys=True))
+        print(json.dumps(encoded, sort_keys=True, allow_nan=False))
     return 0
 
 

@@ -5,7 +5,10 @@ Entry points by family:
 * exact oracles: ``exact_count_bruteforce`` (cell recursion), ``exact_count_dp``
   (column-by-column over sorted remaining row sums), ``exact_count_01``.
 * closed forms: ``fisher_yates_count`` (the factorial-weighted count, which has
-  an exact product formula) and ``bekessy_estimate`` (asymptotic).
+  an exact product formula) and ``bekessy_estimate`` (asymptotic; its log is
+  ``bekessy_log_estimate``).
+* weighted exact: ``weighted_fy_count`` sums prod w_ij^d_ij / d_ij! over tables
+  with the box dynamic program below, exactly for rational weights.
 * Monte Carlo: ``mc_estimate_count`` averages exact permanents of random
   block matrices whose cells are i.i.d. standard exponentials; the expected
   permanent equals the count times the product of margin factorials.
@@ -32,7 +35,8 @@ import numbers
 import statistics
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from operator import add, contains, le
+from itertools import accumulate
+from operator import add, contains, le, mul
 from typing import Dict, Iterator, List, Sequence, Tuple
 
 import numpy as np
@@ -46,22 +50,23 @@ from .errors import (
     ValidationError,
 )
 from .lowrank import (
+    _bounded_compositions,
     approx_coefficients,
     build_e_tilde,
     build_h_tilde,
     choose_elementary_sample_count,
     choose_sample_count,
-    exact_e,
-    exact_h,
+    monomials,
 )
-from .permanent import (
-    DEFAULT_SIZE_LIMIT,
-    BlockStructure,
-    build_block_matrix,
-    permanent_exact,
-    permanent_float_batch,
+from .permanent import DEFAULT_SIZE_LIMIT, permanent_float_batch
+from .polynomial import (
+    DEFAULT_TERM_CAP,
+    Coeff,
+    LinearForm,
+    factorial,
+    monomial_weight,
+    parse_coeff,
 )
-from .polynomial import DEFAULT_TERM_CAP, Coeff, LinearForm, factorial, parse_coeff
 from .rng import derive_seed, derive_seed_block, exponential_matrix
 
 DEFAULT_NODE_BUDGET = 10**7
@@ -241,26 +246,6 @@ class LowRankResult:
 # exact oracles
 
 
-def _bounded_compositions(total: int, bounds: Sequence[int]) -> Iterator[Tuple[int, ...]]:
-    """All ways to write total as an ordered sum with 0 <= part_i <= bounds[i]."""
-    k = len(bounds)
-    suffix = [0] * (k + 1)
-    for i in range(k - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + bounds[i]
-
-    def rec(idx: int, remaining: int, prefix: Tuple[int, ...]) -> Iterator[Tuple[int, ...]]:
-        if idx == k:
-            if remaining == 0:
-                yield prefix
-            return
-        lo = max(0, remaining - suffix[idx + 1])
-        hi = min(bounds[idx], remaining)
-        for v in range(lo, hi + 1):
-            yield from rec(idx + 1, remaining - v, prefix + (v,))
-
-    return rec(0, total, ())
-
-
 class _NodeBudget:
     __slots__ = ("used", "limit")
 
@@ -386,8 +371,8 @@ def weighted_count_bruteforce(
 ):
     """Sum over all tables of prod w_ij^d_ij, optionally divided by prod d_ij!.
 
-    Exact when the weights are exact; this is the oracle the permanent-based
-    and low-rank weighted paths are checked against.
+    Exact when the weights are exact; this is the oracle weighted_fy_count and
+    the low-rank weighted paths are checked against.
     """
     _check_weight_shape(margins, weights)
     exact = weights.is_exact()
@@ -413,14 +398,29 @@ def fisher_yates_count(margins: Margins) -> Fraction:
     return Fraction(factorial(margins.total), margins.divisor())
 
 
-def bekessy_estimate(margins: Margins) -> float:
-    """Closed-form asymptotic count: the factorial ratio times an exponential
-    correction in the pairwise margin statistics."""
+def _bekessy_exponent(margins: Margins) -> float:
     n_total = margins.total
     row_pairs = sum(math.comb(r, 2) for r in margins.row_sums)
     col_pairs = sum(math.comb(c, 2) for c in margins.col_sums)
-    exponent = 2.0 * row_pairs * col_pairs / (n_total * n_total)
-    return float(fisher_yates_count(margins)) * math.exp(exponent)
+    return 2.0 * row_pairs * col_pairs / (n_total * n_total)
+
+
+def bekessy_estimate(margins: Margins) -> float | None:
+    """Closed-form asymptotic count: the factorial ratio times an exponential
+    correction in the pairwise margin statistics.  None when the value lies
+    outside the float range; bekessy_log_estimate always has it."""
+    try:
+        value = float(fisher_yates_count(margins)) * math.exp(_bekessy_exponent(margins))
+    except OverflowError:
+        return None
+    return value if math.isfinite(value) else None
+
+
+def bekessy_log_estimate(margins: Margins) -> float:
+    """Natural log of the Bekessy estimate, from the integer logs of N! and of
+    the margin factorials, so it is finite for any margins."""
+    log_ratio = math.log(factorial(margins.total)) - math.log(margins.divisor())
+    return log_ratio + _bekessy_exponent(margins)
 
 
 # ---------------------------------------------------------------------------
@@ -572,33 +572,6 @@ def variance_ratio_report(
 
 
 # ---------------------------------------------------------------------------
-# deterministic weighted counting via one exact permanent
-
-
-def weighted_fy_count(
-    margins: Margins, weights: WeightMatrix, size_limit: int = DEFAULT_SIZE_LIMIT
-):
-    """Sum over tables of prod w_ij^d_ij / d_ij!, via one block-matrix permanent.
-
-    The block at (row group i, column group j) is constant w_ij; the permanent
-    divided by the margin factorials telescopes into the weighted sum.  Exact
-    for exact weights.
-    """
-    _check_weight_shape(margins, weights)
-    if margins.total > size_limit:
-        raise PermanentSizeError(
-            f"margins total {margins.total} exceeds permanent size limit {size_limit}",
-            limit=size_limit,
-        )
-    structure = BlockStructure(margins.row_sums, margins.col_sums)
-    matrix = build_block_matrix(structure, weights.entries)
-    per = permanent_exact(matrix, size_limit=size_limit)
-    if weights.is_exact():
-        return Fraction(per) / margins.divisor()
-    return per / float(margins.divisor())
-
-
-# ---------------------------------------------------------------------------
 # low-rank pipelines
 
 
@@ -619,18 +592,34 @@ def _repeat_seeds(seed: int, repeats: int) -> List[int]:
     return [derive_seed(seed, k) for k in range(repeats)]
 
 
-def _family_table(kind: str, r: int, n: int, epsilon: float, seed: int, forms: int, wrow):
-    """(a, [x^a] factor) pairs of one row factor over n column variables.
+def _exact_table(r: int, bounds: Sequence[int], wrow=None):
+    """(a, prod_j w_j^a_j) for every exponent vector a of degree r inside bounds.
+
+    The coefficient is 1 without a weight row.  Powers are built by repeated
+    multiplication, so a float power past the float range becomes inf where
+    float ** int would raise OverflowError.
+    """
+    expos = monomials(r, bounds)
+    if wrow is None:
+        return [(a, 1) for a in expos]
+    powers = [list(accumulate([w] * b, mul, initial=1)) for w, b in zip(wrow, bounds)]
+    return [(a, math.prod(p[e] for p, e in zip(powers, a) if e)) for a in expos]
+
+
+def _family_table(kind: str, r: int, box: Sequence[int], epsilon: float, seed: int, forms: int,
+                  wrow):
+    """(a, [x^a] factor) pairs of one row factor over the column variables.
 
     With forms > 0 the factor is the sampled family drawn from seed: h~_r, or
     e~_r for kind "elementary"; a weight row scales each form's coefficients.
-    With forms == 0 it is the exact polynomial, times prod w^a for a weight row.
+    With forms == 0 it is the exact polynomial, times prod w^a for a weight row,
+    listed only inside the column box.
     """
+    n = len(box)
     if not forms:
-        exact = exact_e(n, r) if kind == "elementary" else exact_h(n, r)
-        if wrow is None:
-            return exact.terms.items()
-        return [(a, math.prod(w**e for w, e in zip(wrow, a) if e)) for a in exact.terms]
+        if kind == "elementary":
+            box = tuple(min(b, 1) for b in box)
+        return _exact_table(r, box, wrow)
     if kind == "elementary":
         return approx_coefficients(build_e_tilde(r, n, epsilon, seed, form_count=forms))
     approx = build_h_tilde(r, n, epsilon, seed, form_count=forms)
@@ -702,7 +691,7 @@ def _lowrank(
     multisets the product expands into times the admissible column vectors,
     is fixed by the form counts alone and checked before any form is drawn.
     """
-    n = len(column_sets)
+    box = tuple(max(allowed, default=0) for allowed in column_sets)
     if weights is None:
         families = [(r, rows.count(r), None) for r in sorted(set(rows))]
         cap = DEFAULT_FORMS_PER_VALUE
@@ -717,7 +706,7 @@ def _lowrank(
         elif form_count is not None:
             form_counts.append(form_count)
         else:
-            form_counts.append(min(choose(r, epsilon, n), cap))
+            form_counts.append(min(choose(r, epsilon, len(box)), cap))
     per_vector = math.prod(
         math.comb(m + mult - 1, mult) for m, (_, mult, _) in zip(form_counts, families) if m
     )
@@ -734,7 +723,7 @@ def _lowrank(
     values = []
     for sub_seed in sub_seeds:
         tables = [
-            (_family_table(kind, r, n, epsilon, derive_seed(sub_seed, k), m, wrow), mult)
+            (_family_table(kind, r, box, epsilon, derive_seed(sub_seed, k), m, wrow), mult)
             for k, ((r, mult, wrow), m) in enumerate(zip(families, form_counts))
         ]
         value = _box_coefficient(tables, column_sets)
@@ -752,6 +741,27 @@ def _lowrank(
 
 def _singletons(col_sums: Sequence[int]) -> List[frozenset]:
     return [frozenset((c,)) for c in col_sums]
+
+
+def weighted_fy_count(margins: Margins, weights: WeightMatrix):
+    """Sum over tables of prod w_ij^d_ij / d_ij!: the coefficient of x^c in
+    prod_i (w_i . x)^{r_i} / r_i!.
+
+    Row i's table pairs each a of degree r_i inside the column box with
+    prod_j w_ij^a_j / a_j!, and one pass of the box dynamic program sums the
+    products over tables.  Fraction arithmetic keeps the value exact for exact
+    weights; float values are sums of non-negative terms, so nothing cancels.
+    """
+    _check_weight_shape(margins, weights)
+    exact = weights.is_exact()
+    tables = []
+    for r, wrow in zip(margins.row_sums, weights.entries):
+        if exact:
+            wrow = [Fraction(w) for w in wrow]
+        table = _exact_table(r, margins.col_sums, wrow)
+        tables.append(([(a, coeff / monomial_weight(a)) for a, coeff in table], 1))
+    value = _box_coefficient(tables, _singletons(margins.col_sums))
+    return Fraction(value) if exact else float(value)
 
 
 def lowrank_asymptotic_count(

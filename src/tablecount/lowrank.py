@@ -21,8 +21,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement
-from typing import List, Sequence, Tuple
+from typing import Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -122,8 +121,8 @@ def choose_sample_count(r: int, epsilon: float, n: int) -> int:
         raise ValidationError("r must be at least 1")
     if not 0 < epsilon < 1:
         raise ValidationError("epsilon must lie in (0, 1)")
-    if n < 2:
-        raise ValidationError("n must be at least 2")
+    if n < 1:
+        raise ValidationError("n must be at least 1")
     delta = 1.0 - math.sqrt(1.0 - epsilon)
     spec = solve_threshold(r, delta)
     K = spec.kappa**r
@@ -268,8 +267,8 @@ def build_h_tilde(
     """
     if r < 1:
         raise ValidationError("r must be at least 1")
-    if n < 2:
-        raise ValidationError("n must be at least 2")
+    if n < 1:
+        raise ValidationError("n must be at least 1")
     m = choose_sample_count(r, epsilon, n) if form_count is None else int(form_count)
     if m < 1:
         raise ValidationError("form count must be positive")
@@ -341,6 +340,49 @@ class CoefficientReport:
         return not self.violations
 
 
+def _bounded_compositions(total: int, bounds: Sequence[int]) -> Iterator[Tuple[int, ...]]:
+    """All ways to write total as an ordered sum with 0 <= part_i <= bounds[i].
+
+    Vectors come in descending lexicographic order, the order in which
+    itertools.combinations(_with_replacement) lists the matching monomials.
+    """
+    k = len(bounds)
+    suffix = [0] * (k + 1)
+    for i in range(k - 1, -1, -1):
+        suffix[i] = suffix[i + 1] + bounds[i]
+
+    def rec(idx: int, remaining: int, prefix: Tuple[int, ...]) -> Iterator[Tuple[int, ...]]:
+        if idx == k:
+            if remaining == 0:
+                yield prefix
+            return
+        lo = max(0, remaining - suffix[idx + 1])
+        hi = min(bounds[idx], remaining)
+        for v in range(hi, lo - 1, -1):
+            yield from rec(idx + 1, remaining - v, prefix + (v,))
+
+    return rec(0, total, ())
+
+
+def monomials(
+    r: int, bounds: Sequence[int], budget: int = DEFAULT_ENUMERATION_BUDGET
+) -> Iterator[Tuple[int, ...]]:
+    """Exponent vectors of degree r with 0 <= a_j <= bounds[j].
+
+    Their number is bounded with math.comb before any is listed, so an
+    oversized request fails at once; the bound is exact when every bound is at
+    most 1 (square-free monomials) or at least r (all monomials).
+    """
+    support = sum(1 for b in bounds if b)
+    if max(bounds, default=0) <= 1:
+        total = math.comb(support, r)
+    else:
+        total = math.comb(support + r - 1, r)
+    if total > budget:
+        raise EnumerationBudgetError(f"{total} monomials exceed budget {budget}", limit=budget)
+    return _bounded_compositions(r, bounds)
+
+
 def approx_coefficients(
     approx: ApproxSymmetricPoly, budget: int = DEFAULT_ENUMERATION_BUDGET
 ):
@@ -352,17 +394,10 @@ def approx_coefficients(
     """
     n, r = approx.num_vars, approx.r
     if approx.kind == "complete":
-        total = math.comb(n + r - 1, r)
-        if total > budget:
-            raise EnumerationBudgetError(
-                f"{total} monomials exceed budget {budget}", limit=budget
-            )
+        expos = monomials(r, (r,) * n, budget)
         gamma = form_coefficient_matrix(approx)
         m = gamma.shape[0]
-        for combo in combinations_with_replacement(range(n), r):
-            expo = [0] * n
-            for j in combo:
-                expo[j] += 1
+        for expo in expos:
             inner = np.ones(m)
             weight = 1
             for j, a in enumerate(expo):
@@ -371,22 +406,16 @@ def approx_coefficients(
                     weight *= factorial(a)
             # coefficient of x^a in scale * sum_i l_i^r
             coeff = approx.scale * factorial(r) / weight * float(np.sum(inner))
-            yield tuple(expo), coeff
+            yield expo, coeff
     else:
-        total = math.comb(n, r)
-        if total > budget:
-            raise EnumerationBudgetError(
-                f"{total} monomials exceed budget {budget}", limit=budget
-            )
+        expos = monomials(r, (1,) * n, budget)
         assignments = assignment_matrix(approx)
         target = np.arange(r)
-        for combo in combinations(range(n), r):
-            expo = [0] * n
-            for j in combo:
-                expo[j] = 1
+        for expo in expos:
+            combo = [j for j, a in enumerate(expo) if a]
             hits = np.sort(assignments[:, combo], axis=1)
             count = int(np.sum(np.all(hits == target, axis=1)))
-            yield tuple(expo), approx.scale * count
+            yield expo, approx.scale * count
 
 
 def _band_report(coefficients, r: int, epsilon: float) -> CoefficientReport:
@@ -424,19 +453,6 @@ def verify_coefficients(
     return _band_report(approx_coefficients(approx, budget=budget), approx.r, approx.epsilon)
 
 
-def verify_polynomial_coefficients(
-    poly: SparsePolynomial, r: int, epsilon: float, kind: str = "complete"
-) -> CoefficientReport:
-    """Band check for an explicitly expanded polynomial (exact-surrogate path)."""
-    n = poly.num_vars
-    if kind == "complete":
-        monomials = combinations_with_replacement(range(n), r)
-    else:
-        monomials = combinations(range(n), r)
-    expos = (tuple(combo.count(j) for j in range(n)) for combo in monomials)
-    return _band_report(((e, float(poly.coefficient(e))) for e in expos), r, epsilon)
-
-
 def expected_h_coefficient(kappa: float, exponents: Sequence[int]) -> float:
     """Analytic mean of a complete-kind coefficient: prod of truncated moments
     over factorials, one factor per variable with positive exponent."""
@@ -445,31 +461,3 @@ def expected_h_coefficient(kappa: float, exponents: Sequence[int]) -> float:
         if a:
             value *= truncated_moment(kappa, a) / factorial(a)
     return value
-
-
-def exact_h(n: int, r: int, budget: int = DEFAULT_ENUMERATION_BUDGET) -> SparsePolynomial:
-    """The true degree-r complete symmetric polynomial: all monomials, coefficient 1."""
-    total = math.comb(n + r - 1, r)
-    if total > budget:
-        raise EnumerationBudgetError(f"{total} monomials exceed budget {budget}", limit=budget)
-    terms = {}
-    for combo in combinations_with_replacement(range(n), r):
-        expo = [0] * n
-        for j in combo:
-            expo[j] += 1
-        terms[tuple(expo)] = 1
-    return SparsePolynomial(n, terms)
-
-
-def exact_e(n: int, r: int, budget: int = DEFAULT_ENUMERATION_BUDGET) -> SparsePolynomial:
-    """The true degree-r elementary symmetric polynomial: square-free monomials."""
-    total = math.comb(n, r)
-    if total > budget:
-        raise EnumerationBudgetError(f"{total} monomials exceed budget {budget}", limit=budget)
-    terms = {}
-    for combo in combinations(range(n), r):
-        expo = [0] * n
-        for j in combo:
-            expo[j] = 1
-        terms[tuple(expo)] = 1
-    return SparsePolynomial(n, terms)

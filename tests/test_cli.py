@@ -1,8 +1,11 @@
 import json
+import math
 
 import pytest
 
 from tablecount.cli import DEFAULT_SEED, main
+from tablecount.lowrank import build_e_tilde, build_h_tilde
+from tablecount.polynomial import poly_from_text, poly_to_text
 
 
 def run_cli(capsys, *argv, env=None, monkeypatch=None):
@@ -223,6 +226,24 @@ def test_verify_coeffs_dump_poly(capsys, tmp_path):
         assert sum(int(p) for p in parts[1:]) == 2
 
 
+@pytest.mark.parametrize("kind,degree,nvars,epsilon", [("complete", 2, 3, 0.7), ("elementary", 2, 5, 0.3)])
+def test_dump_poly_matches_expansion(capsys, tmp_path, kind, degree, nvars, epsilon):
+    path = tmp_path / "poly.txt"
+    run_json(
+        capsys, "verify-coeffs", "--kind", kind, "--degree", str(degree), "--vars", str(nvars),
+        "--epsilon", str(epsilon), "--seed", "9", "--dump-poly", str(path),
+    )
+    build = build_h_tilde if kind == "complete" else build_e_tilde
+    reference = build(degree, nvars, epsilon, 9).expand()
+    text = path.read_text()
+    if kind == "elementary":
+        assert text == poly_to_text(reference)
+    dumped = poly_from_text(text, nvars)
+    assert dumped.terms.keys() == reference.terms.keys()
+    for expo, coeff in reference.terms.items():
+        assert dumped.terms[expo] == pytest.approx(coeff, rel=1e-12)
+
+
 def test_variance_report(capsys):
     report = run_json(
         capsys, "variance", "--rows", "1,1", "--cols", "1,1",
@@ -265,3 +286,59 @@ def test_table_output_renders(capsys):
     code, out, err = run_cli(capsys, "count", "--rows", "2,2", "--cols", "2,2", "--output", "table")
     assert code == 0
     assert "count" in out
+
+
+def test_bekessy_log_value_past_float_range(capsys):
+    ones = ",".join(["1"] * 200)
+    report = run_json(capsys, "bekessy", "--rows", ones, "--cols", ones)
+    assert report["value"] is None
+    assert report["log_value"] == pytest.approx(math.lgamma(201), rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["lowrank", "--rows", "1,1", "--cols", "2"],
+        ["lowrank01", "--rows", "1,1", "--cols", "2"],
+        ["lowrank-colsets", "--rows", "2", "--col-sets", "2"],
+    ],
+)
+def test_lowrank_single_column(capsys, argv):
+    report = run_json(capsys, *argv)
+    assert report["band_low"] <= report["value"] <= report["band_high"]  # exact count is 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["estimate", "--rows", "2,2", "--cols", "2,2", "--seed", "abc"],
+        ["frobnicate"],
+        ["count", "--rows"],
+        [],
+    ],
+)
+def test_argument_errors_exit_2_as_json(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == "" and err.count("\n") == 1
+    assert "error" in json.loads(err)
+
+
+def test_help_prints_usage(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["-h"])
+    assert exc.value.code == 0
+    assert "usage" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("method,field", [("exact", "value"), ("mc", "mean"), ("lowrank", "value")])
+def test_non_finite_result_exits_2(capsys, tmp_path, method, field):
+    path = tmp_path / "w.json"
+    path.write_text('{"weights": [[1e200, 1e200], [1e200, 1e200]]}')
+    code, out, err = run_cli(
+        capsys, "weighted", "--rows", "2,2", "--cols", "2,2", "--weights-file", str(path),
+        "--method", method, "--samples", "100",
+    )
+    assert code == 2
+    assert out == "" and err.count("\n") == 1
+    assert repr(field) in json.loads(err)["error"]

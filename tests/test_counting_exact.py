@@ -9,6 +9,7 @@ from tablecount.counting import (
     Margins,
     WeightMatrix,
     bekessy_estimate,
+    bekessy_log_estimate,
     exact_count_01,
     exact_count_bruteforce,
     exact_count_dp,
@@ -17,6 +18,7 @@ from tablecount.counting import (
     margins_from_csv_text,
     margins_from_json_text,
     weighted_count_bruteforce,
+    weighted_fy_count,
     weights_from_csv_text,
     weights_from_json_text,
 )
@@ -158,6 +160,37 @@ def test_weighted_bruteforce_all_ones_matches_counts():
     ones = WeightMatrix([[1, 1], [1, 1]])
     assert weighted_count_bruteforce(m, ones, include_factorials=False) == 3
     assert weighted_count_bruteforce(m, ones, include_factorials=True) == Fraction(3, 2)
+
+
+def test_weighted_fy_count_past_24_cells():
+    # N = 24, past the size where a block-matrix permanent was feasible
+    m = Margins([12, 12], [8, 8, 8])
+    w = WeightMatrix([[Fraction(1, 2), 1, Fraction(3, 2)], [2, Fraction(1, 3), 1]])
+    got = weighted_fy_count(m, w)
+    assert isinstance(got, Fraction)
+    assert got == weighted_count_bruteforce(m, w)
+
+
+def test_weighted_fy_count_float_weights_match_fraction_oracle():
+    m = Margins([4, 4, 4], [3, 3, 3, 3])
+    floats = [[0.3 + 0.37 * ((5 * i + 3 * j) % 7) for j in range(4)] for i in range(3)]
+    oracle = weighted_count_bruteforce(m, WeightMatrix([[Fraction(w) for w in row] for row in floats]))
+    got = weighted_fy_count(m, WeightMatrix(floats))
+    assert isinstance(got, float)
+    assert abs(got / oracle - 1) <= 1e-14
+
+
+def test_weighted_fy_count_huge_float_weights_give_inf():
+    m = Margins([2, 2], [2, 2])
+    assert weighted_fy_count(m, WeightMatrix([[1e200, 1.0], [1.0, 1e200]])) == math.inf
+
+
+def test_bekessy_log_estimate_past_float_range():
+    m = Margins([1] * 200, [1] * 200)
+    assert bekessy_estimate(m) is None
+    assert bekessy_log_estimate(m) == pytest.approx(math.lgamma(201), rel=1e-12)
+    small = Margins([2, 2], [2, 2])
+    assert bekessy_log_estimate(small) == pytest.approx(math.log(bekessy_estimate(small)))
 
 
 def test_weight_matrix_validation():

@@ -273,3 +273,13 @@ def test_epsilon_validation():
             fn(m, epsilon=0.0, seed=0)
         with pytest.raises(ValidationError):
             fn(m, epsilon=1.0, seed=0)
+
+
+def test_single_column_margins():
+    m = Margins([1, 1], [2])
+    for fn in (lowrank_asymptotic_count, lowrank_01_count):
+        assert fn(m, epsilon=0.3, seed=0, exact_surrogate=True).value == 1
+        assert fn(m, epsilon=0.3, seed=0).value > 0
+    res = lowrank_column_sets_count([2], [[2]], epsilon=0.3, seed=0, exact_surrogate=True)
+    assert res.value == 1
+    assert lowrank_column_sets_count([2], [[2]], epsilon=0.3, seed=0).value > 0

@@ -13,17 +13,16 @@ from tablecount.lowrank import (
     build_h_tilde,
     choose_elementary_sample_count,
     choose_sample_count,
+    _band_report,
     elementary_scale_denominator,
-    exact_e,
-    exact_h,
     expected_h_coefficient,
     approx_coefficients,
+    monomials,
     solve_threshold,
     surjection_count,
     truncated_moment,
     truncation_tail,
     verify_coefficients,
-    verify_polynomial_coefficients,
 )
 from tablecount.rng import SplitMix64Stream
 
@@ -176,9 +175,9 @@ def test_build_e_tilde_groups_partition_variables():
 def test_build_e_tilde_r_equals_n_is_exact():
     approx = build_e_tilde(4, 4, 0.3, seed=2, form_count=7)
     expanded = approx.expand()
-    target = exact_e(4, 4)
-    for expo, coeff in target.terms.items():
-        assert float(expanded.coefficient(expo)) == pytest.approx(float(coeff))
+    # e_4 in four variables is the single monomial x1 x2 x3 x4
+    assert list(expanded.terms) == [(1, 1, 1, 1)]
+    assert float(expanded.coefficient((1, 1, 1, 1))) == pytest.approx(1.0)
     report = verify_coefficients(approx)
     assert report.min_ratio == pytest.approx(1.0)
     assert report.max_ratio == pytest.approx(1.0)
@@ -195,7 +194,7 @@ def test_e_tilde_unscaled_coefficients_are_indicator_averages():
 
 
 def test_verify_exact_h_is_all_ones():
-    report = verify_polynomial_coefficients(exact_h(10, 2), 2, 0.3)
+    report = _band_report(((a, 1.0) for a in monomials(2, (2,) * 10)), 2, 0.3)
     assert report.min_ratio == 1.0
     assert report.max_ratio == 1.0
     assert report.ok

@@ -35,8 +35,7 @@ import numbers
 import statistics
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import accumulate
-from operator import add, contains, le, mul
+from operator import add, contains, le
 from typing import Dict, Iterator, List, Sequence, Tuple
 
 import numpy as np
@@ -50,26 +49,30 @@ from .errors import (
     ValidationError,
 )
 from .lowrank import (
-    _bounded_compositions,
     approx_coefficients,
     build_e_tilde,
     build_h_tilde,
     choose_elementary_sample_count,
     choose_sample_count,
-    monomials,
 )
 from .permanent import DEFAULT_SIZE_LIMIT, permanent_float_batch
 from .polynomial import (
+    DEFAULT_ENUMERATION_BUDGET,
     DEFAULT_TERM_CAP,
     Coeff,
     LinearForm,
+    bounded_compositions,
+    composition_count,
     factorial,
-    monomial_weight,
+    monomials,
     parse_coeff,
 )
 from .rng import derive_seed, derive_seed_block, exponential_matrix
 
 DEFAULT_NODE_BUDGET = 10**7
+# above the 92,275,150 steps the weighted exact count takes on 22 unit
+# rows and columns, the costliest margins with N <= 22
+WEIGHTED_NODE_BUDGET = 10**8
 DEFAULT_CHUNK = 16384
 # sampled forms per distinct margin value in the counting pipelines; the
 # conservative concentration formula is used when it asks for fewer
@@ -274,7 +277,7 @@ def exact_count_bruteforce(margins: Margins, node_budget: int = DEFAULT_NODE_BUD
             # the last row must absorb the remaining column sums exactly
             return 1
         total = 0
-        for comp in _bounded_compositions(margins.row_sums[i], rem_cols):
+        for comp in bounded_compositions(margins.row_sums[i], rem_cols):
             budget.spend()
             total += rec(i + 1, tuple(a - b for a, b in zip(rem_cols, comp)))
         return total
@@ -292,7 +295,7 @@ def iter_tables(margins: Margins, node_budget: int = DEFAULT_NODE_BUDGET) -> Ite
             budget.spend()
             yield prefix + (rem_cols,)
             return
-        for comp in _bounded_compositions(margins.row_sums[i], rem_cols):
+        for comp in bounded_compositions(margins.row_sums[i], rem_cols):
             budget.spend()
             yield from rec(i + 1, tuple(a - b for a, b in zip(rem_cols, comp)), prefix + (comp,))
 
@@ -318,7 +321,7 @@ def exact_count_dp(margins: Margins, node_budget: int = DEFAULT_NODE_BUDGET) -> 
         if cached is not None:
             return cached
         total = 0
-        for comp in _bounded_compositions(margins.col_sums[j], state):
+        for comp in bounded_compositions(margins.col_sums[j], state):
             budget.spend()
             total += count(j + 1, tuple(sorted(a - b for a, b in zip(state, comp))))
         memo[key] = total
@@ -592,18 +595,29 @@ def _repeat_seeds(seed: int, repeats: int) -> List[int]:
     return [derive_seed(seed, k) for k in range(repeats)]
 
 
-def _exact_table(r: int, bounds: Sequence[int], wrow=None):
-    """(a, prod_j w_j^a_j) for every exponent vector a of degree r inside bounds.
+def _exact_table(r: int, bounds: Sequence[int], wrow=None, scaled: bool = False):
+    """(a, prod_j f_j(a_j)) for every exponent vector a of degree r inside bounds.
 
-    The coefficient is 1 without a weight row.  Powers are built by repeated
-    multiplication, so a float power past the float range becomes inf where
-    float ** int would raise OverflowError.
+    The coefficient is 1 without a weight row; with one, f_j(e) is w_j^e, or
+    w_j^e / e! when scaled.  Factors are built by repeated multiplication, so a
+    float factor past the float range becomes inf where float ** int would
+    raise OverflowError, and a zero factor zeroes the coefficient instead of
+    meeting an inf factor as inf * 0 = nan.
     """
     expos = monomials(r, bounds)
     if wrow is None:
         return [(a, 1) for a in expos]
-    powers = [list(accumulate([w] * b, mul, initial=1)) for w, b in zip(wrow, bounds)]
-    return [(a, math.prod(p[e] for p, e in zip(powers, a) if e)) for a in expos]
+    factors = []
+    for w, b in zip(wrow, bounds):
+        f = [1]
+        for e in range(1, min(b, r) + 1):
+            f.append(f[-1] * w / e if scaled else f[-1] * w)
+        factors.append(f)
+    table = []
+    for a in expos:
+        parts = [f[e] for f, e in zip(factors, a) if e]
+        table.append((a, 0 if 0 in parts else math.prod(parts)))
+    return table
 
 
 def _family_table(kind: str, r: int, box: Sequence[int], epsilon: float, seed: int, forms: int,
@@ -631,7 +645,7 @@ def _family_table(kind: str, r: int, box: Sequence[int], epsilon: float, seed: i
     return approx_coefficients(approx)
 
 
-def _box_coefficient(tables, column_sets: Sequence[frozenset]):
+def _box_coefficient(tables, column_sets: Sequence[frozenset], node_budget: int = DEFAULT_NODE_BUDGET):
     """Sum over end vectors v with v_j in column_sets[j] of [x^v] prod factor^mult.
 
     tables holds one ((a, coefficient) pairs, mult) per factor family.  The
@@ -641,7 +655,7 @@ def _box_coefficient(tables, column_sets: Sequence[frozenset]):
     Each row step charges its transitions to the node budget before it runs,
     so an oversized input fails before it allocates the next state map.
     """
-    budget = _NodeBudget(DEFAULT_NODE_BUDGET)
+    budget = _NodeBudget(node_budget)
     bound = tuple(max(allowed, default=0) for allowed in column_sets)
     states = {(0,) * len(bound): 1}
     for table, mult in tables:
@@ -743,6 +757,27 @@ def _singletons(col_sums: Sequence[int]) -> List[frozenset]:
     return [frozenset((c,)) for c in col_sums]
 
 
+def _box_work(rows: Sequence[int], box: Sequence[int]):
+    """Steps of the weighted box dynamic program, rows taken in order.
+
+    A row's transitions are its states, all vectors of the degree used so far
+    inside the box (fewer when a coefficient is zero), times its table, all
+    vectors of its degree.  Its factor j lists w^e / e! for e up to
+    m = min(box_j, r); exact factors grow by about a digit a step, so that
+    list counts m(m+1)/2 steps.  inf when a state map would pass
+    DEFAULT_NODE_BUDGET states or a table the monomial budget.
+    """
+    used = work = 0
+    for r in rows:
+        states = composition_count(used, box, DEFAULT_NODE_BUDGET)
+        table = composition_count(r, box, DEFAULT_ENUMERATION_BUDGET)
+        if states > DEFAULT_NODE_BUDGET or table > DEFAULT_ENUMERATION_BUDGET:
+            return math.inf
+        work += states * table + sum(m * (m + 1) // 2 for m in (min(b, r) for b in box))
+        used += r
+    return work
+
+
 def weighted_fy_count(margins: Margins, weights: WeightMatrix):
     """Sum over tables of prod w_ij^d_ij / d_ij!: the coefficient of x^c in
     prod_i (w_i . x)^{r_i} / r_i!.
@@ -751,16 +786,31 @@ def weighted_fy_count(margins: Margins, weights: WeightMatrix):
     prod_j w_ij^a_j / a_j!, and one pass of the box dynamic program sums the
     products over tables.  Fraction arithmetic keeps the value exact for exact
     weights; float values are sums of non-negative terms, so nothing cancels.
+
+    The sum is unchanged by transposing margins and weights or by reordering
+    rows.  The program takes the rows largest first, over the rows or the
+    columns, whichever needs fewer steps; the steps are counted and checked
+    against WEIGHTED_NODE_BUDGET before any table is built.
     """
     _check_weight_shape(margins, weights)
     exact = weights.is_exact()
-    tables = []
-    for r, wrow in zip(margins.row_sums, weights.entries):
-        if exact:
-            wrow = [Fraction(w) for w in wrow]
-        table = _exact_table(r, margins.col_sums, wrow)
-        tables.append(([(a, coeff / monomial_weight(a)) for a, coeff in table], 1))
-    value = _box_coefficient(tables, _singletons(margins.col_sums))
+    entries = weights.entries
+    if exact:
+        entries = [[Fraction(w) for w in wrow] for wrow in entries]
+    sides = []
+    for rows, cols, wrows in ((margins.row_sums, margins.col_sums, entries),
+                              (margins.col_sums, margins.row_sums, list(zip(*entries)))):
+        order = sorted(range(len(rows)), key=lambda i: -rows[i])
+        rows = [rows[i] for i in order]
+        work = _box_work(rows, cols)
+        sides.append((work, rows, cols, [wrows[i] for i in order]))
+    work, rows, cols, wrows = min(sides, key=lambda side: side[0])
+    if work > WEIGHTED_NODE_BUDGET:
+        raise EnumerationBudgetError(
+            f"enumeration would exceed {WEIGHTED_NODE_BUDGET} nodes", limit=WEIGHTED_NODE_BUDGET
+        )
+    tables = ((_exact_table(r, cols, wrow, scaled=True), 1) for r, wrow in zip(rows, wrows))
+    value = _box_coefficient(tables, _singletons(cols), WEIGHTED_NODE_BUDGET)
     return Fraction(value) if exact else float(value)
 
 

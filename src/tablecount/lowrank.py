@@ -21,25 +21,21 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .errors import (
-    EnumerationBudgetError,
-    SurjectionSamplingError,
-    ValidationError,
-)
+from .errors import SurjectionSamplingError, ValidationError
 from .polynomial import (
+    DEFAULT_ENUMERATION_BUDGET,
     LinearForm,
     SparsePolynomial,
     expand_form_power,
     factorial,
+    monomials,
     product_of_forms,
 )
 from .rng import SplitMix64Stream, derive_seed, derive_seed_block, truncated_exponential_matrix
-
-DEFAULT_ENUMERATION_BUDGET = 2 * 10**6
 
 
 def truncation_tail(kappa: float, r: int) -> float:
@@ -338,49 +334,6 @@ class CoefficientReport:
     @property
     def ok(self) -> bool:
         return not self.violations
-
-
-def _bounded_compositions(total: int, bounds: Sequence[int]) -> Iterator[Tuple[int, ...]]:
-    """All ways to write total as an ordered sum with 0 <= part_i <= bounds[i].
-
-    Vectors come in descending lexicographic order, the order in which
-    itertools.combinations(_with_replacement) lists the matching monomials.
-    """
-    k = len(bounds)
-    suffix = [0] * (k + 1)
-    for i in range(k - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + bounds[i]
-
-    def rec(idx: int, remaining: int, prefix: Tuple[int, ...]) -> Iterator[Tuple[int, ...]]:
-        if idx == k:
-            if remaining == 0:
-                yield prefix
-            return
-        lo = max(0, remaining - suffix[idx + 1])
-        hi = min(bounds[idx], remaining)
-        for v in range(hi, lo - 1, -1):
-            yield from rec(idx + 1, remaining - v, prefix + (v,))
-
-    return rec(0, total, ())
-
-
-def monomials(
-    r: int, bounds: Sequence[int], budget: int = DEFAULT_ENUMERATION_BUDGET
-) -> Iterator[Tuple[int, ...]]:
-    """Exponent vectors of degree r with 0 <= a_j <= bounds[j].
-
-    Their number is bounded with math.comb before any is listed, so an
-    oversized request fails at once; the bound is exact when every bound is at
-    most 1 (square-free monomials) or at least r (all monomials).
-    """
-    support = sum(1 for b in bounds if b)
-    if max(bounds, default=0) <= 1:
-        total = math.comb(support, r)
-    else:
-        total = math.comb(support + r - 1, r)
-    if total > budget:
-        raise EnumerationBudgetError(f"{total} monomials exceed budget {budget}", limit=budget)
-    return _bounded_compositions(r, bounds)
 
 
 def approx_coefficients(

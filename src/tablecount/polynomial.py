@@ -16,14 +16,17 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import comb, prod
-from typing import Dict, Iterable, List, Sequence, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Sequence, Tuple, Union
 
-from .errors import DimensionMismatchError, TermBudgetError, ValidationError
+import numpy as np
+
+from .errors import DimensionMismatchError, EnumerationBudgetError, TermBudgetError, ValidationError
 
 Exponent = Tuple[int, ...]
 Coeff = Union[int, Fraction, float]
 
 DEFAULT_TERM_CAP = 10**7
+DEFAULT_ENUMERATION_BUDGET = 2 * 10**6
 
 # factorials, extended on demand; index == argument
 _FACTORIALS: List[int] = [1]
@@ -45,6 +48,85 @@ def monomial_weight(a: Sequence[int]) -> int:
             raise ValidationError("negative exponent")
         w *= factorial(e)
     return w
+
+
+def bounded_compositions(total: int, bounds: Sequence[int]) -> Iterator[Exponent]:
+    """All ways to write total as an ordered sum with 0 <= part_i <= bounds[i].
+
+    Vectors come in descending lexicographic order, the order in which
+    itertools.combinations(_with_replacement) lists the matching monomials.
+    """
+    k = len(bounds)
+    suffix = [0] * (k + 1)
+    for i in range(k - 1, -1, -1):
+        suffix[i] = suffix[i + 1] + bounds[i]
+
+    def rec(idx: int, remaining: int, prefix: Exponent) -> Iterator[Exponent]:
+        if idx == k:
+            if remaining == 0:
+                yield prefix
+            return
+        lo = max(0, remaining - suffix[idx + 1])
+        hi = min(bounds[idx], remaining)
+        for v in range(hi, lo - 1, -1):
+            yield from rec(idx + 1, remaining - v, prefix + (v,))
+
+    return rec(0, total, ())
+
+
+def composition_count(total: int, bounds: Sequence[int], limit: int) -> int:
+    """Number of vectors bounded_compositions(total, bounds) lists, or limit + 1
+    as soon as that number is known to exceed limit (limit below 2^31).
+
+    a -> caps - a maps degree total onto degree sum(caps) - total, so the count
+    is taken at t, the smaller of the two.  Caps of at least t give a binomial.
+    Other caps run a dynamic program over the coordinates, smallest cap first,
+    on the partial sums s that the remaining caps can still complete to t.
+    Each such s leads to at least one distinct vector, so a window of more
+    than limit sums, or a partial count past limit, settles the answer; the
+    program never holds more than limit + 1 counts.
+    """
+    caps = sorted(c for c in (min(b, total) for b in bounds) if c > 0)
+    slack = sum(caps) - total
+    if slack < 0:
+        return 0
+    t = min(total, slack)
+    if t == 0:
+        return 1
+    if caps[0] >= t:
+        return comb(len(caps) + t - 1, t)
+    ways = np.ones(1, dtype=np.int64)  # ways[s - lo]: partial vectors summing to s
+    lo = hi = done = 0
+    rest = sum(caps)
+    for b in caps:
+        rest -= b
+        done += b
+        new_lo, new_hi = max(0, t - rest), min(t, done)
+        if new_hi - new_lo + 1 > limit:
+            return limit + 1
+        prefix = np.concatenate(([0], np.cumsum(ways)))
+        sums = np.arange(new_lo, new_hi + 1)
+        # the new count at s adds the old counts at s - b .. s
+        ways = prefix[np.minimum(sums, hi) - lo + 1] - prefix[np.maximum(sums - b, lo) - lo]
+        if ways.max() > limit:
+            return limit + 1
+        lo, hi = new_lo, new_hi
+    return int(ways[0])
+
+
+def monomials(
+    r: int, bounds: Sequence[int], budget: int = DEFAULT_ENUMERATION_BUDGET
+) -> Iterator[Exponent]:
+    """Exponent vectors of degree r with 0 <= a_j <= bounds[j].
+
+    Their number is counted before any is listed, so an oversized request
+    fails at once.
+    """
+    if composition_count(r, bounds, budget) > budget:
+        raise EnumerationBudgetError(
+            f"degree-{r} monomials exceed budget {budget}", limit=budget
+        )
+    return bounded_compositions(r, bounds)
 
 
 class SparsePolynomial:
@@ -76,12 +158,6 @@ class SparsePolynomial:
     def constant(cls, num_vars: int, value: Coeff) -> "SparsePolynomial":
         return cls(num_vars, {(0,) * num_vars: value})
 
-    @classmethod
-    def variable(cls, num_vars: int, index: int) -> "SparsePolynomial":
-        expo = [0] * num_vars
-        expo[index] = 1
-        return cls(num_vars, {tuple(expo): 1})
-
     def __len__(self) -> int:
         return len(self.terms)
 
@@ -99,10 +175,6 @@ class SparsePolynomial:
     def coefficient(self, a: Sequence[int]) -> Coeff:
         return self.terms.get(tuple(a), 0)
 
-    def degree(self) -> int:
-        """Total degree; zero polynomial reports 0."""
-        return max((sum(e) for e in self.terms), default=0)
-
     def add(self, other: "SparsePolynomial") -> "SparsePolynomial":
         if self.num_vars != other.num_vars:
             raise DimensionMismatchError("adding polynomials over different variables")
@@ -113,18 +185,6 @@ class SparsePolynomial:
 
     def scale(self, factor: Coeff) -> "SparsePolynomial":
         return SparsePolynomial(self.num_vars, {e: factor * c for e, c in self.terms.items()})
-
-    def evaluate(self, point: Sequence[Coeff]) -> Coeff:
-        if len(point) != self.num_vars:
-            raise DimensionMismatchError("point length does not match num_vars")
-        total: Coeff = 0
-        for expo, coeff in self.terms.items():
-            term = coeff
-            for x, e in zip(point, expo):
-                if e:
-                    term *= x**e
-            total += term
-        return total
 
 
 class LinearForm:

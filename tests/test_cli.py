@@ -177,6 +177,17 @@ def test_weighted_exact(capsys, tmp_path):
     assert report["method"] == "exact"
 
 
+def test_weighted_exact_wide_unit_margins(capsys, tmp_path):
+    # unit weights on 0-1 tables: the value is the table count C(16, 8)
+    path = tmp_path / "w.csv"
+    path.write_text(",".join(["1"] * 16) + "\n" + ",".join(["1"] * 16) + "\n")
+    report = run_json(
+        capsys, "weighted", "--rows", "8,8", "--cols", ",".join(["1"] * 16),
+        "--weights-file", str(path),
+    )
+    assert report["value"] == str(math.comb(16, 8))
+
+
 def test_weighted_mc_and_lowrank(capsys, tmp_path):
     path = tmp_path / "w.csv"
     path.write_text("1,2\n1/2,1\n")

@@ -4,6 +4,7 @@ from itertools import product
 
 import pytest
 
+from tablecount import counting
 from tablecount.errors import EnumerationBudgetError, ValidationError
 from tablecount.counting import (
     Margins,
@@ -180,9 +181,51 @@ def test_weighted_fy_count_float_weights_match_fraction_oracle():
     assert abs(got / oracle - 1) <= 1e-14
 
 
-def test_weighted_fy_count_huge_float_weights_give_inf():
-    m = Margins([2, 2], [2, 2])
-    assert weighted_fy_count(m, WeightMatrix([[1e200, 1.0], [1.0, 1e200]])) == math.inf
+@pytest.mark.parametrize(
+    "rows, cols, weights, expected",
+    [
+        # a 1e200 weight squared overflows to inf
+        ([2, 2], [2, 2], [[1e200, 1.0], [1.0, 1e200]], math.inf),
+        # 200! and 100^200 overflow a float; 100^200 / 200! ~ 1.27e25 does not
+        ([200], [200], [[100.0]], float(Fraction(100) ** 200 / math.factorial(200))),
+        # the only table puts 1 in the zero-weight cell: 0 * 1e200^2 / 2 is 0, not nan
+        ([3], [1, 2], [[0.0, 1e200]], 0.0),
+    ],
+)
+def test_weighted_fy_count_float_extremes(rows, cols, weights, expected):
+    got = weighted_fy_count(Margins(rows, cols), WeightMatrix(weights))
+    assert got == pytest.approx(expected, rel=1e-13)
+
+
+@pytest.mark.parametrize(
+    "rows, cols",
+    [((8, 8), (1,) * 16), ((1,) * 16, (8, 8)), ((20,), (2,) * 10), ((2,) * 10, (20,)),
+     ((1, 3, 2, 1), (2, 1, 4))],
+)
+def test_weighted_fy_count_wide_margins(rows, cols):
+    # the box over the 0-1-like side has 2^16 or 3^10 cells, the other side's
+    # 81 or 21; the last pair has its rows out of order
+    m = Margins(list(rows), list(cols))
+    w = WeightMatrix(
+        [[Fraction(1 + (i + 2 * j) % 3, 2) for j in range(len(cols))] for i in range(len(rows))]
+    )
+    assert weighted_fy_count(m, w) == weighted_count_bruteforce(m, w)
+
+
+@pytest.mark.parametrize(
+    "rows, cols",
+    [
+        ([5] * 8, [5] * 8),  # too many transitions
+        ([10**9], [5 * 10**8] * 2),  # one table entry, but factor lists of 5e8 rationals
+    ],
+)
+def test_weighted_fy_count_budget_checked_before_tables(monkeypatch, rows, cols):
+    def no_tables(*args, **kwargs):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr(counting, "_exact_table", no_tables)
+    with pytest.raises(EnumerationBudgetError):
+        weighted_fy_count(Margins(rows, cols), WeightMatrix([[1] * len(cols)] * len(rows)))
 
 
 def test_bekessy_log_estimate_past_float_range():

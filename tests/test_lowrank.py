@@ -17,13 +17,13 @@ from tablecount.lowrank import (
     elementary_scale_denominator,
     expected_h_coefficient,
     approx_coefficients,
-    monomials,
     solve_threshold,
     surjection_count,
     truncated_moment,
     truncation_tail,
     verify_coefficients,
 )
+from tablecount.polynomial import monomials
 from tablecount.rng import SplitMix64Stream
 
 

@@ -2,12 +2,15 @@ from fractions import Fraction
 
 import pytest
 
-from tablecount.errors import DimensionMismatchError, TermBudgetError
+from tablecount.errors import DimensionMismatchError, EnumerationBudgetError, TermBudgetError
 from tablecount.polynomial import (
     LinearForm,
     SparsePolynomial,
+    bounded_compositions,
+    composition_count,
     expand_form_power,
     monomial_weight,
+    monomials,
     poly_from_text,
     poly_mul,
     poly_to_text,
@@ -25,6 +28,27 @@ def test_monomial_weight_values():
     assert monomial_weight((0, 0, 0)) == 1
     assert monomial_weight((2, 1)) == 2
     assert monomial_weight((3, 2, 1)) == 12
+
+
+@pytest.mark.parametrize("limit", [0, 5, 10**6])
+def test_composition_count_matches_enumeration(limit):
+    for bounds in [(), (0,), (3,), (1, 1, 1, 1), (2, 0, 3), (4, 1, 2, 6), (5, 5, 5), (2,) * 6]:
+        for total in range(sum(bounds) + 2):
+            listed = len(list(bounded_compositions(total, bounds)))
+            got = composition_count(total, bounds, limit)
+            assert got == listed if listed <= limit else got > limit, (bounds, total)
+
+
+def test_composition_count_wide_window_stops_early():
+    # over 2e8 vectors; the partial sums that can still reach 5e7 span 5e7 values
+    assert composition_count(5 * 10**7, (3, 5 * 10**7, 5 * 10**7), 10**6) == 10**6 + 1
+
+
+def test_monomials_counts_mixed_bounds_exactly():
+    # comb(29, 20) ~ 1e7 vectors of degree 20 in 10 variables, but one fits the box
+    assert list(monomials(20, (2,) * 10)) == [(2,) * 10]
+    with pytest.raises(EnumerationBudgetError):
+        monomials(20, (3,) * 30)
 
 
 def test_scalar_product_same_monomial():

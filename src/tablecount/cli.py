@@ -3,12 +3,15 @@
 Reports are JSON objects (or aligned text with --output table).  Identical
 arguments and seed give identical reports except for the elapsed_ms field.
 Exact values (integer counts, rationals) that cannot survive a float round
-trip are emitted as JSON strings.
+trip are emitted as JSON strings, or as null when their decimal form would
+pass the interpreter's integer string limit; every exact value comes with its
+natural log as log_value.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -57,10 +60,13 @@ def _encode(value: Any, field: str = "report") -> Any:
     """
     if isinstance(value, bool):
         return value
-    if isinstance(value, Fraction):
-        return str(value)
-    if isinstance(value, int):
-        return value if abs(value) < _SAFE_INT else str(value)
+    if isinstance(value, int) and abs(value) < _SAFE_INT:
+        return value
+    if isinstance(value, (int, Fraction)):
+        try:
+            return str(value)
+        except ValueError:  # past sys.get_int_max_str_digits(); log_value still holds it
+            return None
     if isinstance(value, float):
         if not math.isfinite(value):
             raise ValidationError(f"report field {field!r} is not finite ({value})")
@@ -130,25 +136,34 @@ def _margins_echo(margins: Margins) -> Dict[str, Any]:
     return {"rows": list(margins.row_sums), "cols": list(margins.col_sums)}
 
 
-# margins-only commands: the (function, report key) pairs each one reports.
-# The lambdas look their function up when called, so a wrapper put on this
-# module's attribute (a profiler, a test double) sees every call.
+def _exact_fields(key: str, value: Any) -> Dict[str, Any]:
+    """An exact value and its natural log, from the integer logs of numerator
+    and denominator so that it is finite whatever the size; null at zero."""
+    if not value:
+        log_value = None
+    elif isinstance(value, float):
+        log_value = math.log(value)
+    else:
+        q = Fraction(value)
+        log_value = math.log(q.numerator) - math.log(q.denominator)
+    return {key: value, "log_value": log_value}
+
+
+# margins-only commands and the report fields each one fills.  The lambdas
+# look their functions up when called, so a wrapper put on this module's
+# attribute (a profiler, a test double) sees every call.
 _MARGIN_COMMANDS = {
-    "count": ((lambda m: exact_count_dp(m), "count"),),
-    "count01": ((lambda m: exact_count_01(m), "count"),),
-    "fy": ((lambda m: fisher_yates_count(m), "value"),),
-    "bekessy": (
-        (lambda m: bekessy_estimate(m), "value"),
-        (lambda m: bekessy_log_estimate(m), "log_value"),
-    ),
+    "count": lambda m: _exact_fields("count", exact_count_dp(m)),
+    "count01": lambda m: _exact_fields("count", exact_count_01(m)),
+    "fy": lambda m: _exact_fields("value", fisher_yates_count(m)),
+    "bekessy": lambda m: {"value": bekessy_estimate(m), "log_value": bekessy_log_estimate(m)},
 }
 
 
 def _cmd_margins(args: argparse.Namespace) -> Dict[str, Any]:
     margins = _load_margins(args)
     report = _margins_echo(margins)
-    for function, key in _MARGIN_COMMANDS[args.command]:
-        report[key] = function(margins)
+    report.update(_MARGIN_COMMANDS[args.command](margins))
     return report
 
 
@@ -167,7 +182,7 @@ def _cmd_weighted(args: argparse.Namespace) -> Dict[str, Any]:
     report = _margins_echo(margins)
     report["method"] = args.method
     if args.method == "exact":
-        report["value"] = weighted_fy_count(margins, weights)
+        report.update(_exact_fields("value", weighted_fy_count(margins, weights)))
     elif args.method == "mc":
         seed = _resolve_seed(args)
         est = mc_weighted_count(margins, weights, args.samples, seed, size_limit=args.perm_cap)
@@ -356,6 +371,7 @@ def _add_common_flags(sub: argparse.ArgumentParser, term_cap: bool = False,
                               "checked before any sampling")
     if perm_cap:
         sub.add_argument("--perm-cap", type=int, default=DEFAULT_SIZE_LIMIT,
+                         choices=range(1, DEFAULT_SIZE_LIMIT + 1), metavar=f"1..{DEFAULT_SIZE_LIMIT}",
                          help="maximum permanent matrix size of the Monte Carlo routes")
     sub.add_argument("--output", choices=("json", "table"), default="json")
 
@@ -368,7 +384,10 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(message)
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process; parsing leaves it
+    unchanged, and TABLECOUNT_SEED is read when a command runs."""
     parser = _Parser(
         prog="tablecount",
         description="Count integer matrices with prescribed row and column sums.",

@@ -60,7 +60,6 @@ from .polynomial import (
     DEFAULT_ENUMERATION_BUDGET,
     DEFAULT_TERM_CAP,
     Coeff,
-    LinearForm,
     bounded_compositions,
     composition_count,
     factorial,
@@ -638,10 +637,7 @@ def _family_table(kind: str, r: int, box: Sequence[int], epsilon: float, seed: i
         return approx_coefficients(build_e_tilde(r, n, epsilon, seed, form_count=forms))
     approx = build_h_tilde(r, n, epsilon, seed, form_count=forms)
     if wrow is not None:
-        scaled = tuple(
-            LinearForm([g * float(w) for g, w in zip(f.coeffs, wrow)]) for f in approx.forms
-        )
-        approx = replace(approx, forms=scaled)
+        approx = replace(approx, forms=approx.forms * np.array([float(w) for w in wrow]))
     return approx_coefficients(approx)
 
 

@@ -21,7 +21,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -35,7 +35,7 @@ from .polynomial import (
     monomials,
     product_of_forms,
 )
-from .rng import SplitMix64Stream, derive_seed, derive_seed_block, truncated_exponential_matrix
+from .rng import derive_seed_block, integer_matrix, truncated_exponential_matrix
 
 
 def truncation_tail(kappa: float, r: int) -> float:
@@ -162,13 +162,16 @@ def choose_elementary_sample_count(r: int, epsilon: float, n: int) -> int:
     return math.ceil(math.log(6.0 * monomials) / (2.0 * t * t * beta * beta))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ApproxSymmetricPoly:
     """A scaled family of linear forms standing in for h_r or e_r.
 
-    kind="complete": the polynomial is scale * sum_i forms[i]^r.
-    kind="elementary": forms is a list of groups of r disjoint-support 0/1
-    forms; the polynomial is scale * sum_i prod(group_i).
+    kind="complete": forms is the (m, n) float array of form coefficients;
+    the polynomial is scale * sum_i (forms[i] . x)^r.
+    kind="elementary": forms is the (m, n) int array of surjections, entry
+    (i, j) the block of variable j in surjection i; the polynomial is
+    scale * sum_i prod_b (sum of the x_j with forms[i, j] == b).
+    forms is a read-only view.
     """
 
     kind: str
@@ -177,32 +180,45 @@ class ApproxSymmetricPoly:
     epsilon: float
     seed: int
     scale: float
-    forms: tuple
+    forms: np.ndarray
 
     def __post_init__(self):
         if self.kind not in ("complete", "elementary"):
             raise ValidationError(f"unknown kind {self.kind!r}")
+        dtype = np.float64 if self.kind == "complete" else np.int64
+        forms = np.asarray(self.forms, dtype=dtype).reshape(-1, self.num_vars).view()
+        forms.flags.writeable = False
+        object.__setattr__(self, "forms", forms)
+
+    def __eq__(self, other):
+        if not isinstance(other, ApproxSymmetricPoly):
+            return NotImplemented
+        fields = ("kind", "r", "num_vars", "epsilon", "seed", "scale")
+        return all(getattr(self, f) == getattr(other, f) for f in fields) and np.array_equal(
+            self.forms, other.forms
+        )
 
     @property
     def form_count(self) -> int:
         return len(self.forms)
 
+    def _group_rows(self) -> np.ndarray:
+        """(m, r, n) 0/1 floats: row b of group i is the indicator of block b."""
+        return (self.forms[:, None, :] == np.arange(self.r)[:, None]).astype(np.float64)
+
     def expand(self, term_cap: int = 10**7) -> SparsePolynomial:
         """Materialize the represented polynomial (small form counts only)."""
         acc = SparsePolynomial.zero(self.num_vars)
         if self.kind == "complete":
-            for form in self.forms:
-                acc = acc.add(expand_form_power(form, self.r, term_cap=term_cap))
+            for row in self.forms.tolist():
+                acc = acc.add(expand_form_power(LinearForm(row), self.r, term_cap=term_cap))
         else:
-            for group in self.forms:
-                acc = acc.add(product_of_forms(group, term_cap=term_cap))
+            for group in self._group_rows().tolist():
+                acc = acc.add(product_of_forms([LinearForm(f) for f in group], term_cap=term_cap))
         return acc.scale(self.scale)
 
     def to_json(self) -> str:
-        if self.kind == "complete":
-            serial = [list(map(float, f.coeffs)) for f in self.forms]
-        else:
-            serial = [[list(map(float, f.coeffs)) for f in group] for group in self.forms]
+        forms = self.forms if self.kind == "complete" else self._group_rows()
         return json.dumps(
             {
                 "kind": self.kind,
@@ -211,17 +227,16 @@ class ApproxSymmetricPoly:
                 "epsilon": self.epsilon,
                 "seed": self.seed,
                 "scale": self.scale,
-                "forms": serial,
+                "forms": forms.tolist(),
             }
         )
 
     @classmethod
     def from_json(cls, text: str) -> "ApproxSymmetricPoly":
         data = json.loads(text)
-        if data["kind"] == "complete":
-            forms = tuple(LinearForm(c) for c in data["forms"])
-        else:
-            forms = tuple(tuple(LinearForm(c) for c in group) for group in data["forms"])
+        forms = np.array(data["forms"], dtype=np.float64)
+        if data["kind"] == "elementary":
+            forms = forms.reshape(-1, data["r"], data["n"]).argmax(axis=1)
         return cls(
             kind=data["kind"],
             r=data["r"],
@@ -231,25 +246,6 @@ class ApproxSymmetricPoly:
             scale=data["scale"],
             forms=forms,
         )
-
-
-def form_coefficient_matrix(approx: ApproxSymmetricPoly) -> np.ndarray:
-    """(form_count, n) float matrix of coefficients, complete kind only."""
-    if approx.kind != "complete":
-        raise ValidationError("coefficient matrix applies to the complete kind")
-    return np.array([f.coeffs for f in approx.forms], dtype=np.float64)
-
-
-def assignment_matrix(approx: ApproxSymmetricPoly) -> np.ndarray:
-    """(group_count, n) int matrix: entry (i, j) is the block of variable j
-    in group i; elementary kind only."""
-    if approx.kind != "elementary":
-        raise ValidationError("assignment matrix applies to the elementary kind")
-    out = np.empty((len(approx.forms), approx.num_vars), dtype=np.int64)
-    for i, group in enumerate(approx.forms):
-        block = np.array([f.coeffs for f in group], dtype=np.int64)
-        out[i] = np.argmax(block, axis=0)
-    return out
 
 
 def build_h_tilde(
@@ -270,24 +266,17 @@ def build_h_tilde(
         raise ValidationError("form count must be positive")
     delta = 1.0 - math.sqrt(1.0 - epsilon)
     spec = solve_threshold(r, delta)
-    seeds = derive_seed_block(seed, m)
-    gamma = truncated_exponential_matrix(seeds, n, spec.kappa)
-    forms = tuple(LinearForm([float(v) for v in row]) for row in gamma)
+    gamma = truncated_exponential_matrix(derive_seed_block(seed, m), n, spec.kappa)
     scale = 1.0 / (factorial(r) * m)
     return ApproxSymmetricPoly(
-        kind="complete", r=r, num_vars=n, epsilon=epsilon, seed=seed, scale=scale, forms=forms
+        kind="complete", r=r, num_vars=n, epsilon=epsilon, seed=seed, scale=scale, forms=gamma
     )
 
 
-def sample_surjection(n: int, r: int, stream: SplitMix64Stream, retry_limit: int) -> np.ndarray:
-    """One uniform surjection {0..n-1} -> {0..r-1} by rejection."""
-    for _ in range(retry_limit):
-        assignment = stream.integers(n, r)
-        if len(np.unique(assignment)) == r:
-            return assignment
-    raise SurjectionSamplingError(
-        f"no surjection onto {r} blocks within {retry_limit} attempts"
-    )
+def _missing_a_block(assignments: np.ndarray, r: int) -> np.ndarray:
+    """Indices of the rows that leave some block in 0..r-1 empty."""
+    hit = (assignments[:, :, None] == np.arange(r)).any(axis=1)
+    return np.flatnonzero(~hit.all(axis=1))
 
 
 def build_e_tilde(
@@ -297,7 +286,10 @@ def build_e_tilde(
 
     Each group is the r forms x_{omega^{-1}(1)}, ..., x_{omega^{-1}(r)} of one
     uniform random surjection omega; the scale is 1/(beta * m) with beta the
-    bijective-restriction probability.
+    bijective-restriction probability.  Surjection i is drawn by rejection from
+    the child stream derive_seed(seed, i): attempt t reads its positions
+    t*n .. (t+1)*n - 1.  Every group's first attempt is one block draw, and
+    only the rejected rows are drawn again.
     """
     if not 1 <= r <= n:
         raise ValidationError("need 1 <= r <= n")
@@ -306,18 +298,21 @@ def build_e_tilde(
         raise ValidationError("form count must be positive")
     expected_attempts = r**n / surjection_count(n, r)
     retry_limit = math.ceil(50 * expected_attempts)
-    groups: List[Tuple[LinearForm, ...]] = []
-    for i in range(m):
-        stream = SplitMix64Stream(derive_seed(seed, i))
-        assignment = sample_surjection(n, r, stream, retry_limit)
-        group = []
-        for block in range(r):
-            coeffs = [1.0 if assignment[j] == block else 0.0 for j in range(n)]
-            group.append(LinearForm(coeffs))
-        groups.append(tuple(group))
+    seeds = derive_seed_block(seed, m)
+    assignments = integer_matrix(seeds, n, r)
+    rejected = _missing_a_block(assignments, r)
+    for attempt in range(1, retry_limit):
+        if not rejected.size:
+            break
+        assignments[rejected] = integer_matrix(seeds[rejected], n, r, start=attempt * n)
+        rejected = rejected[_missing_a_block(assignments[rejected], r)]
+    if rejected.size:
+        raise SurjectionSamplingError(
+            f"no surjection onto {r} blocks within {retry_limit} attempts"
+        )
     scale = float(1 / (elementary_scale_denominator(n, r) * m))
     return ApproxSymmetricPoly(
-        kind="elementary", r=r, num_vars=n, epsilon=epsilon, seed=seed, scale=scale, forms=tuple(groups)
+        kind="elementary", r=r, num_vars=n, epsilon=epsilon, seed=seed, scale=scale, forms=assignments
     )
 
 
@@ -348,7 +343,7 @@ def approx_coefficients(
     n, r = approx.num_vars, approx.r
     if approx.kind == "complete":
         expos = monomials(r, (r,) * n, budget)
-        gamma = form_coefficient_matrix(approx)
+        gamma = approx.forms
         m = gamma.shape[0]
         for expo in expos:
             inner = np.ones(m)
@@ -362,7 +357,7 @@ def approx_coefficients(
             yield expo, coeff
     else:
         expos = monomials(r, (1,) * n, budget)
-        assignments = assignment_matrix(approx)
+        assignments = approx.forms
         target = np.arange(r)
         for expo in expos:
             combo = [j for j, a in enumerate(expo) if a]

@@ -2,9 +2,7 @@
 
 The scalar product treats monomials as an orthogonal family: a monomial pairs
 to zero with every other monomial, and with itself to the product of the
-factorials of its exponents.  Products of linear forms can be paired without
-ever expanding in the ambient variables; ``reduced_pairing`` transports the
-computation to as many variables as there are distinct forms on the left.
+factorials of its exponents.
 
 Coefficients are dual-mode: ``int``/``Fraction`` for exact identities, plain
 floats for randomized estimates.  Mixing exact and float operands silently
@@ -312,16 +310,6 @@ def expand_form_power(
     return SparsePolynomial(n, out)
 
 
-def transport_form(forms: Sequence[LinearForm], g_factor: LinearForm) -> LinearForm:
-    """Image of one right-hand factor under the change to form coordinates.
-
-    Coefficient i of the result is the scalar product of forms[i] with the
-    factor; variables beyond the listed forms are dropped, which is harmless
-    because only the leading rows of the substitution survive the pairing.
-    """
-    return LinearForm([f.dot(g_factor) for f in forms])
-
-
 def product_of_forms(
     factors: Sequence[LinearForm], term_cap: int = DEFAULT_TERM_CAP
 ) -> SparsePolynomial:
@@ -332,39 +320,6 @@ def product_of_forms(
     for factor in factors[1:]:
         acc = poly_mul(acc, factor.as_polynomial(), term_cap=term_cap)
     return acc
-
-
-def reduced_pairing(
-    q: SparsePolynomial,
-    forms: Sequence[LinearForm],
-    g_forms: Sequence[LinearForm],
-    term_cap: int = DEFAULT_TERM_CAP,
-) -> Coeff:
-    """Pairing of q(l_1, ..., l_k) with a product of forms, in k variables.
-
-    Each right-hand factor is replaced by the k-variate form whose i-th
-    coefficient is the dot product of l_i with that factor; the replaced
-    factors are multiplied out and paired with q directly.  Equivalent to
-    expanding q(l_1, ..., l_k) in the ambient variables, but the work scales
-    with k instead of n.
-    """
-    k = q.num_vars
-    if len(forms) != k:
-        raise DimensionMismatchError(f"expected {k} forms, got {len(forms)}")
-    if forms:
-        n = len(forms[0].coeffs)
-        for f in forms:
-            if len(f.coeffs) != n:
-                raise DimensionMismatchError("forms of unequal length")
-        for g in g_forms:
-            if len(g.coeffs) != n:
-                raise DimensionMismatchError("right-hand factor of unequal length")
-    if not g_forms:
-        # empty product is the constant 1; only q's constant term survives
-        return q.coefficient((0,) * k)
-    transported = [transport_form(forms, g) for g in g_forms]
-    g_hat = product_of_forms(transported, term_cap=term_cap)
-    return scalar_product(q, g_hat)
 
 
 def sort_key(expo: Exponent) -> Tuple[int, Tuple[int, ...]]:

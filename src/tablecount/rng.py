@@ -71,11 +71,18 @@ def derive_seed_block(seed: int, count: int) -> np.ndarray:
     return _mix_block(np.uint64(seed & MASK64) ^ tags)
 
 
-def uniform_matrix(seeds: np.ndarray, columns: int) -> np.ndarray:
-    """Row i holds the first `columns` uniforms of the stream seeded by seeds[i]."""
-    idx = np.arange(1, columns + 1, dtype=np.uint64)
+def uniform_matrix(seeds: np.ndarray, columns: int, start: int = 0) -> np.ndarray:
+    """Row i holds uniforms start .. start+columns-1 of the stream seeded by seeds[i]."""
+    idx = np.arange(start + 1, start + columns + 1, dtype=np.uint64)
     raw = _mix_block(seeds[:, None].astype(np.uint64) + idx[None, :] * np.uint64(_GAMMA))
     return (raw >> np.uint64(11)).astype(np.float64) * _INV_2_53
+
+
+def integer_matrix(seeds: np.ndarray, columns: int, upper: int, start: int = 0) -> np.ndarray:
+    """Row i equals SplitMix64Stream(seeds[i], start).integers(columns, upper)."""
+    if upper <= 0:
+        raise ValueError("upper must be positive")
+    return np.minimum((uniform_matrix(seeds, columns, start) * upper).astype(np.int64), upper - 1)
 
 
 def exponential_matrix(seeds: np.ndarray, columns: int) -> np.ndarray:

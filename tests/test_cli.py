@@ -1,9 +1,11 @@
 import json
 import math
+import time
+from fractions import Fraction
 
 import pytest
 
-from tablecount.cli import DEFAULT_SEED, main
+from tablecount.cli import DEFAULT_SEED, build_parser, main
 from tablecount.lowrank import build_e_tilde, build_h_tilde
 from tablecount.polynomial import poly_from_text, poly_to_text
 
@@ -353,3 +355,67 @@ def test_non_finite_result_exits_2(capsys, tmp_path, method, field):
     assert code == 2
     assert out == "" and err.count("\n") == 1
     assert repr(field) in json.loads(err)["error"]
+
+
+def test_parser_built_once_gives_same_reports(capsys):
+    # one process: an argument error, then fy, then estimate, each printing
+    # what it prints when it runs first
+    sequence = [
+        ["estimate", "--rows", "2,2", "--cols", "2,2", "--seed", "abc"],
+        ["fy", "--rows", "3,3", "--cols", "2,2,2"],
+        ["estimate", "--rows", "2,2", "--cols", "2,2", "--samples", "500", "--seed", "4"],
+    ]
+
+    def run(argv):
+        code, out, err = run_cli(capsys, *argv)
+        return code, strip_timing(json.loads(out)) if out else out, err
+
+    first = []
+    for argv in sequence:
+        build_parser.cache_clear()
+        first.append(run(argv))
+    build_parser.cache_clear()
+    assert [run(argv) for argv in sequence] == first
+    assert build_parser() is build_parser()
+    assert [code for code, _, _ in first] == [2, 0, 0]
+
+
+@pytest.mark.parametrize("command,value_key", [("count", "count"), ("count01", "count"), ("fy", "value")])
+def test_exact_commands_report_log_value(capsys, command, value_key):
+    report = run_json(capsys, command, "--rows", "3,3", "--cols", "2,2,2")
+    value = report[value_key]
+    value = float(Fraction(value)) if isinstance(value, str) else value
+    assert report["log_value"] == pytest.approx(math.log(value), rel=1e-12)
+
+
+def test_exact_log_value_null_at_zero(capsys):
+    report = run_json(capsys, "count01", "--rows", "3", "--cols", "2,1")
+    assert report["count"] == 0 and report["log_value"] is None
+
+
+def test_fy_past_int_string_limit(capsys):
+    # 1/2000! has 5736 denominator digits, past Python's 4300-digit default
+    report = run_json(capsys, "fy", "--rows", "2000", "--cols", "2000")
+    assert report["value"] is None
+    assert report["log_value"] == pytest.approx(-math.lgamma(2001), rel=1e-12)
+
+
+def test_weighted_exact_log_value(capsys, tmp_path):
+    path = tmp_path / "w.json"
+    path.write_text('{"weights": [["1", "2"], ["1/2", "1"]]}')
+    report = run_json(
+        capsys, "weighted", "--rows", "2,2", "--cols", "2,2", "--weights-file", str(path)
+    )
+    assert report["log_value"] == pytest.approx(math.log(1.5), rel=1e-12)
+
+
+@pytest.mark.parametrize("cap", ["40", "0", "-5"])
+def test_perm_cap_out_of_range_exits_2_before_sampling(capsys, cap):
+    start = time.perf_counter()
+    code, out, err = run_cli(
+        capsys, "estimate", "--rows", "15,15", "--cols", "15,15", "--perm-cap", cap, "--samples", "10"
+    )
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == "" and err.count("\n") == 1
+    assert "--perm-cap" in json.loads(err)["error"]

@@ -47,7 +47,7 @@ def _complete_coefficient(approx, a, wrow):
     """[x^a] of scale * sum_s (sum_j w_j g_sj x_j)^r, straight from the forms."""
     multinomial = math.factorial(approx.r) / math.prod(math.factorial(e) for e in a)
     return approx.scale * multinomial * sum(
-        math.prod((w * g) ** e for w, g, e in zip(wrow, form.coeffs, a)) for form in approx.forms
+        math.prod((w * g) ** e for w, g, e in zip(wrow, form.tolist(), a)) for form in approx.forms
     )
 
 
@@ -57,8 +57,8 @@ def _elementary_coefficient(approx, a):
     if max(a) > 1:
         return 0.0
     bijective = sum(
-        all(sum(e for c, e in zip(form.coeffs, a) if c) == 1 for form in group)
-        for group in approx.forms
+        all(sum(e for block, e in zip(assignment.tolist(), a) if block == b) == 1 for b in range(approx.r))
+        for assignment in approx.forms
     )
     return approx.scale * bijective
 

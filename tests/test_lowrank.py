@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 
@@ -24,7 +25,7 @@ from tablecount.lowrank import (
     verify_coefficients,
 )
 from tablecount.polynomial import monomials
-from tablecount.rng import SplitMix64Stream
+from tablecount.rng import SplitMix64Stream, derive_seed
 
 
 def test_solve_threshold_degree_zero_is_ln2():
@@ -97,14 +98,14 @@ def test_choose_sample_count_log_growth():
 def test_build_h_tilde_reproducible_and_bounded():
     a = build_h_tilde(2, 4, 0.3, seed=5, form_count=50)
     b = build_h_tilde(2, 4, 0.3, seed=5, form_count=50)
-    assert a.forms == b.forms
+    assert np.array_equal(a.forms, b.forms)
     c = build_h_tilde(2, 4, 0.3, seed=6, form_count=50)
-    assert a.forms != c.forms
+    assert not np.array_equal(a.forms, c.forms)
 
     delta = 1.0 - math.sqrt(1.0 - 0.3)
     kappa = solve_threshold(2, delta).kappa
     for form in a.forms:
-        assert all(0.0 <= v <= kappa for v in form.coeffs)
+        assert all(0.0 <= v <= kappa for v in form)
 
 
 def test_build_h_tilde_default_form_count_is_formula_value():
@@ -114,7 +115,7 @@ def test_build_h_tilde_default_form_count_is_formula_value():
 
 def test_h_tilde_linear_coefficient_is_mean_of_first_draws():
     approx = build_h_tilde(1, 2, 0.4, seed=9, form_count=40)
-    gamma = np.array([f.coeffs for f in approx.forms])
+    gamma = approx.forms
     expanded = approx.expand()
     assert expanded.coefficient((1, 0)) == pytest.approx(gamma[:, 0].mean())
     assert expanded.coefficient((0, 1)) == pytest.approx(gamma[:, 1].mean())
@@ -141,7 +142,7 @@ def test_h_tilde_coefficient_symmetry_across_seeds():
     vals_a, vals_b = [], []
     for seed in range(1000):
         approx = build_h_tilde(2, 3, 0.3, seed=seed, form_count=8)
-        gamma = np.array([f.coeffs for f in approx.forms])
+        gamma = approx.forms
         # coefficient of x1 x2 and of x2 x3, straight from the coefficient matrix
         vals_a.append(np.mean(gamma[:, 0] * gamma[:, 1]))
         vals_b.append(np.mean(gamma[:, 1] * gamma[:, 2]))
@@ -166,8 +167,8 @@ def test_build_e_tilde_rejects_r_above_n():
 
 def test_build_e_tilde_groups_partition_variables():
     approx = build_e_tilde(2, 5, 0.3, seed=3, form_count=20)
-    for group in approx.forms:
-        support = np.array([f.coeffs for f in group])
+    for assignment in approx.forms:
+        support = (assignment == np.arange(2)[:, None]).astype(float)
         assert np.array_equal(support.sum(axis=0), np.ones(5))
         assert all(row.sum() >= 1 for row in support)
 
@@ -229,3 +230,59 @@ def test_json_round_trip_both_kinds():
 def test_form_count_never_exceeds_formula():
     approx = build_h_tilde(2, 8, 0.4, seed=0)
     assert approx.form_count <= choose_sample_count(2, 0.4, 8)
+
+
+# SHA-256 of to_json() for families drawn before forms became arrays
+JSON_DIGESTS = [
+    ("complete", 3, 6, 0.25, 17, 50, "0b7f37e675d7ddbd2dfc99a27dd6ea0d772ef289b6a23fb7abfad1112eede241"),
+    ("complete", 2, 4, 0.5, 3, None, "0650c63b25f25bdbc0c86f066082104b8be3e37c53467e5d704e1c3e2e18d794"),
+    ("complete", 1, 1, 0.2, 5, 7, "0f668d1960e8e4773f8fef7ba4f4424138830af56392b8f3f0a88b88ce85ca1b"),
+    ("complete", 4, 5, 0.3, 2**64 + 9, 40, "426268ff769e7628319fb150274cf808bd4d80fb579c049b5aac998569fb19a6"),
+    ("elementary", 2, 6, 0.25, 17, 50, "77ae11b46e5e41be4fda274ba5b74fbac48aceb34ee06b54ac817775897f9a1f"),
+    ("elementary", 5, 7, 0.3, 11, 60, "b76da7696f26a306b1005b593611910ae54e79429c8dc7adc79895523e0848f3"),
+    ("elementary", 1, 1, 0.2, 5, 3, "7b53df415884ee65aa6f7788c7ae806533cccb56043125df74f14e861bac9822"),
+    ("elementary", 3, 8, 0.3, 4, None, "1cf672d8c0015a33d8af4aa6444eebb610e7c93c65197fe121728983ce1ba746"),
+]
+
+
+@pytest.mark.parametrize("kind,r,n,epsilon,seed,forms,digest", JSON_DIGESTS)
+def test_to_json_matches_recorded_digest(kind, r, n, epsilon, seed, forms, digest):
+    build = build_h_tilde if kind == "complete" else build_e_tilde
+    approx = build(r, n, epsilon, seed, form_count=forms)
+    assert hashlib.sha256(approx.to_json().encode()).hexdigest() == digest
+    assert ApproxSymmetricPoly.from_json(approx.to_json()) == approx
+
+
+@pytest.mark.parametrize("r,n,seed,forms", [(2, 6, 17, 50), (5, 7, 11, 60), (3, 3, 2, 40), (1, 4, 9, 5)])
+def test_e_tilde_assignments_match_per_group_rejection(r, n, seed, forms):
+    # (5, 7) and (3, 3) reject most first attempts, so redraws are exercised
+    approx = build_e_tilde(r, n, 0.3, seed, form_count=forms)
+    expected = []
+    for i in range(forms):
+        stream = SplitMix64Stream(derive_seed(seed, i))
+        assignment = stream.integers(n, r)
+        while len(np.unique(assignment)) < r:
+            assignment = stream.integers(n, r)
+        expected.append(assignment)
+    assert approx.forms.dtype == np.int64
+    assert np.array_equal(approx.forms, np.array(expected))
+
+
+@pytest.mark.parametrize("build,r,n", [(build_h_tilde, 3, 4), (build_h_tilde, 2, 5), (build_e_tilde, 3, 6)])
+def test_expand_matches_approx_coefficients(build, r, n):
+    approx = build(r, n, 0.3, seed=4, form_count=30)
+    expanded = approx.expand()
+    coefficients = dict(approx_coefficients(approx))
+    assert set(expanded.terms) <= set(coefficients)
+    for expo, coeff in coefficients.items():
+        assert float(expanded.coefficient(expo)) == pytest.approx(coeff, rel=1e-12, abs=0)
+
+
+def test_forms_are_read_only_arrays():
+    h = build_h_tilde(2, 3, 0.3, seed=1, form_count=4)
+    e = build_e_tilde(2, 3, 0.3, seed=1, form_count=4)
+    assert h.forms.shape == e.forms.shape == (4, 3)
+    assert h.forms.dtype == np.float64 and e.forms.dtype == np.int64
+    for approx in (h, e):
+        with pytest.raises(ValueError):
+            approx.forms[0, 0] = 1

@@ -15,7 +15,6 @@ from tablecount.polynomial import (
     poly_mul,
     poly_to_text,
     product_of_forms,
-    reduced_pairing,
     scalar_product,
 )
 
@@ -132,79 +131,6 @@ def test_expand_form_power_zero_power_is_one():
     assert expand_form_power(LinearForm([5, 7]), 0) == SparsePolynomial.constant(2, 1)
 
 
-def test_reduced_pairing_single_coordinate():
-    q = P(1, {(2,): 1})
-    e1 = LinearForm.coordinate(2, 0)
-    assert reduced_pairing(q, [e1], [e1, e1]) == 2
-
-
-def test_reduced_pairing_identity_transport():
-    q = P(2, {(1, 1): 1})
-    e1 = LinearForm.coordinate(2, 0)
-    e2 = LinearForm.coordinate(2, 1)
-    assert reduced_pairing(q, [e1, e2], [e1, e2]) == 1
-
-
-def substitute(q, forms):
-    """Direct expansion of q(l_1, ..., l_k) in the ambient variables."""
-    n = len(forms[0].coeffs)
-    acc = SparsePolynomial.zero(n)
-    for expo, coeff in q.terms.items():
-        term = SparsePolynomial.constant(n, coeff)
-        for form, e in zip(forms, expo):
-            if e:
-                term = poly_mul(term, expand_form_power(form, e))
-        acc = acc.add(term)
-    return acc
-
-
-def test_reduced_pairing_matches_direct_expansion():
-    # k=2 forms in 4 ambient variables, q of degree 3, all rational: exact match
-    forms = [
-        LinearForm([1, 2, Fraction(1, 2), -1]),
-        LinearForm([0, 1, 3, Fraction(2, 5)]),
-    ]
-    q = P(2, {(3, 0): Fraction(1, 3), (2, 1): -2, (1, 1): 1, (0, 2): Fraction(7, 4)})
-    g_forms = [
-        LinearForm([1, 0, 1, 0]),
-        LinearForm([Fraction(1, 2), 1, 0, -1]),
-        LinearForm([0, 0, 2, 1]),
-    ]
-    direct = scalar_product(substitute(q, forms), product_of_forms(g_forms))
-    assert reduced_pairing(q, forms, g_forms) == direct
-
-
-@pytest.mark.parametrize("k,n", [(1, 3), (2, 4), (3, 5), (2, 5)])
-def test_reduced_pairing_matches_direct_expansion_grid(k, n):
-    # deterministic pseudo-random rational inputs, exact comparison
-    def coeffs(tag, count):
-        return [Fraction((tag * 7 + i * 3) % 11 - 5, 1 + (tag + i) % 4) for i in range(count)]
-
-    forms = [LinearForm(coeffs(t, n)) for t in range(1, k + 1)]
-    deg = 4
-    q_terms = {}
-    idx = 0
-    for total in range(deg + 1):
-        for expo in _compositions(total, k):
-            idx += 1
-            if idx % 3 == 0:
-                continue
-            q_terms[expo] = Fraction(idx % 7 - 3, 1 + idx % 5)
-    q = P(k, q_terms)
-    g_forms = [LinearForm(coeffs(t + 10, n)) for t in range(deg)]
-    direct = scalar_product(substitute(q, forms), product_of_forms(g_forms))
-    assert reduced_pairing(q, forms, g_forms) == direct
-
-
-def _compositions(total, parts):
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _compositions(total - head, parts - 1):
-            yield (head,) + rest
-
-
 def test_pairing_invariant_under_variable_permutation():
     f_forms = [LinearForm([1, 2, 3]), LinearForm([0, 1, 1])]
     g_forms = [LinearForm([2, 0, 1]), LinearForm([1, 1, 1])]
@@ -219,12 +145,6 @@ def test_pairing_invariant_under_variable_permutation():
         product_of_forms([permute(g) for g in g_forms]),
     )
     assert before == after
-
-
-def test_reduced_pairing_empty_product():
-    q = P(2, {(0, 0): 5, (1, 0): 3})
-    forms = [LinearForm([1, 0]), LinearForm([0, 1])]
-    assert reduced_pairing(q, forms, []) == 5
 
 
 def test_serialization_round_trip():

@@ -24,7 +24,6 @@ import numpy as np
 
 from .errors import BudgetError, SurjectionSamplingError, TableCountError, ValidationError
 from .lowrank import approx_coefficients, build_e_tilde, build_h_tilde, verify_coefficients
-from .permanent import DEFAULT_SIZE_LIMIT
 from .polynomial import DEFAULT_TERM_CAP, SparsePolynomial, poly_to_text
 from .counting import (
     Margins,
@@ -41,7 +40,6 @@ from .counting import (
     margins_from_csv_text,
     margins_from_json_text,
     mc_estimate_count,
-    mc_weighted_count,
     variance_ratio_report,
     weighted_fy_count,
     weights_from_csv_text,
@@ -170,7 +168,7 @@ def _cmd_margins(args: argparse.Namespace) -> Dict[str, Any]:
 def _cmd_estimate(args: argparse.Namespace) -> Dict[str, Any]:
     margins = _load_margins(args)
     seed = _resolve_seed(args)
-    est = mc_estimate_count(margins, args.samples, seed, size_limit=args.perm_cap)
+    est = mc_estimate_count(margins, args.samples, seed)
     report = _margins_echo(margins)
     report.update(_estimate_fields(est))
     return report
@@ -185,7 +183,7 @@ def _cmd_weighted(args: argparse.Namespace) -> Dict[str, Any]:
         report.update(_exact_fields("value", weighted_fy_count(margins, weights)))
     elif args.method == "mc":
         seed = _resolve_seed(args)
-        est = mc_weighted_count(margins, weights, args.samples, seed, size_limit=args.perm_cap)
+        est = mc_estimate_count(margins, args.samples, seed, weights=weights)
         report.update(_estimate_fields(est))
     else:
         seed = _resolve_seed(args)
@@ -291,7 +289,7 @@ def _cmd_verify_coeffs(args: argparse.Namespace) -> Dict[str, Any]:
 def _cmd_variance(args: argparse.Namespace) -> Dict[str, Any]:
     margins = _load_margins(args)
     seed = _resolve_seed(args)
-    rep = variance_ratio_report(margins, args.samples, seed, size_limit=args.perm_cap)
+    rep = variance_ratio_report(margins, args.samples, seed)
     report = _margins_echo(margins)
     report.update(
         ratio=rep.empirical_ratio,
@@ -323,10 +321,7 @@ def _cmd_compare(args: argparse.Namespace) -> Dict[str, Any]:
     add("exact", lambda: exact)
     add("fy", lambda: fisher_yates_count(margins))
     add("bekessy", lambda: bekessy_estimate(margins))
-    add(
-        "montecarlo",
-        lambda: mc_estimate_count(margins, args.samples, seed, size_limit=args.perm_cap).mean,
-    )
+    add("montecarlo", lambda: mc_estimate_count(margins, args.samples, seed).mean)
     add(
         "lowrank",
         lambda: lowrank_asymptotic_count(
@@ -361,18 +356,13 @@ def _add_margin_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--margins-file", help="JSON {rows, cols} or two-line CSV")
 
 
-def _add_common_flags(sub: argparse.ArgumentParser, term_cap: bool = False,
-                      perm_cap: bool = False) -> None:
+def _add_common_flags(sub: argparse.ArgumentParser, term_cap: bool = False) -> None:
     sub.add_argument("--seed", type=int, default=None,
                      help=f"RNG seed (default {DEFAULT_SEED}, or TABLECOUNT_SEED)")
     if term_cap:
         sub.add_argument("--term-cap", type=int, default=DEFAULT_TERM_CAP,
                          help="maximum term count of the expanded low-rank pairing, "
                               "checked before any sampling")
-    if perm_cap:
-        sub.add_argument("--perm-cap", type=int, default=DEFAULT_SIZE_LIMIT,
-                         choices=range(1, DEFAULT_SIZE_LIMIT + 1), metavar=f"1..{DEFAULT_SIZE_LIMIT}",
-                         help="maximum permanent matrix size of the Monte Carlo routes")
     sub.add_argument("--output", choices=("json", "table"), default="json")
 
 
@@ -402,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("estimate")
     _add_margin_flags(sub)
     sub.add_argument("--samples", type=int, default=10000)
-    _add_common_flags(sub, perm_cap=True)
+    _add_common_flags(sub)
 
     sub = subs.add_parser("weighted")
     _add_margin_flags(sub)
@@ -411,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--samples", type=int, default=10000)
     sub.add_argument("--epsilon", type=float, default=0.2)
     sub.add_argument("--repeats", type=int, default=1)
-    _add_common_flags(sub, term_cap=True, perm_cap=True)
+    _add_common_flags(sub, term_cap=True)
 
     for name in ("lowrank", "lowrank01"):
         sub = subs.add_parser(name)
@@ -438,14 +428,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("variance")
     _add_margin_flags(sub)
     sub.add_argument("--samples", type=int, default=10000)
-    _add_common_flags(sub, perm_cap=True)
+    _add_common_flags(sub)
 
     sub = subs.add_parser("compare")
     _add_margin_flags(sub)
     sub.add_argument("--samples", type=int, default=10000)
     sub.add_argument("--epsilon", type=float, default=0.2)
     sub.add_argument("--repeats", type=int, default=1)
-    _add_common_flags(sub, term_cap=True, perm_cap=True)
+    _add_common_flags(sub, term_cap=True)
 
     return parser
 

@@ -2,8 +2,9 @@
 
 Entry points by family:
 
-* exact oracles: ``exact_count_bruteforce`` (cell recursion), ``exact_count_dp``
-  (column-by-column over sorted remaining row sums), ``exact_count_01``.
+* exact oracles: ``exact_count_bruteforce`` (counts the tables ``iter_tables``
+  lists), ``exact_count_dp`` and ``exact_count_01`` (one memoized dynamic
+  program over sorted remaining margins, line by line).
 * closed forms: ``fisher_yates_count`` (the factorial-weighted count, which has
   an exact product formula) and ``bekessy_estimate`` (asymptotic; its log is
   ``bekessy_log_estimate``).
@@ -11,10 +12,10 @@ Entry points by family:
   with the box dynamic program below, exactly for rational weights.
 * Monte Carlo: ``mc_estimate_count`` averages exact permanents of random
   block matrices whose cells are i.i.d. standard exponentials; the expected
-  permanent equals the count times the product of margin factorials.
-  ``mc_weighted_count`` scales each cell by a weight and estimates the
-  weight-power sum over tables.  ``variance_ratio_report`` checks the
-  second-moment ratio against its proven bounds.
+  permanent equals the count times the product of margin factorials.  Given
+  weights, it scales each cell by its weight and estimates the weight-power
+  sum over tables.  ``variance_ratio_report`` checks the second-moment ratio
+  against its proven bounds.
 * low-rank: ``lowrank_asymptotic_count`` and friends replace each row's
   symmetric polynomial by a small random family of linear forms and read the
   count off the coefficient of x^c (c = column sums) in the product of the
@@ -35,7 +36,7 @@ import numbers
 import statistics
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from operator import add, contains, le
+from operator import add, contains, le, sub
 from typing import Dict, Iterator, List, Sequence, Tuple
 
 import numpy as np
@@ -66,7 +67,7 @@ from .polynomial import (
     monomials,
     parse_coeff,
 )
-from .rng import derive_seed, derive_seed_block, exponential_matrix
+from .rng import DRAW_BUDGET, derive_seed, derive_seed_block, exponential_matrix
 
 DEFAULT_NODE_BUDGET = 10**7
 # above the 92,275,150 steps the weighted exact count takes on 22 unit
@@ -263,27 +264,6 @@ class _NodeBudget:
             )
 
 
-def exact_count_bruteforce(margins: Margins, node_budget: int = DEFAULT_NODE_BUDGET) -> int:
-    """Count tables by filling rows recursively; the last row is forced.
-
-    Independent of the dynamic program: no memoization, so it cross-checks it.
-    """
-    budget = _NodeBudget(node_budget)
-    m = margins.num_rows
-
-    def rec(i: int, rem_cols: Tuple[int, ...]) -> int:
-        if i == m - 1:
-            # the last row must absorb the remaining column sums exactly
-            return 1
-        total = 0
-        for comp in bounded_compositions(margins.row_sums[i], rem_cols):
-            budget.spend()
-            total += rec(i + 1, tuple(a - b for a, b in zip(rem_cols, comp)))
-        return total
-
-    return rec(0, margins.col_sums)
-
-
 def iter_tables(margins: Margins, node_budget: int = DEFAULT_NODE_BUDGET) -> Iterator[Tuple[Tuple[int, ...], ...]]:
     """Yield every table with the given margins (small instances only)."""
     budget = _NodeBudget(node_budget)
@@ -301,68 +281,54 @@ def iter_tables(margins: Margins, node_budget: int = DEFAULT_NODE_BUDGET) -> Ite
     return rec(0, margins.col_sums, ())
 
 
-def exact_count_dp(margins: Margins, node_budget: int = DEFAULT_NODE_BUDGET) -> int:
-    """Column-by-column count over memoized sorted remaining-row-sum states.
+def exact_count_bruteforce(margins: Margins, node_budget: int = DEFAULT_NODE_BUDGET) -> int:
+    """Count the tables iter_tables lists, one by one.
 
-    Remaining columns treat rows symmetrically, so the completion count only
-    depends on the multiset of remaining row sums; sorting the state collapses
-    equivalent branches.
+    Independent of the dynamic program: no memoization, so it cross-checks it.
+    """
+    return sum(1 for _ in iter_tables(margins, node_budget))
+
+
+def _line_count(lines: Sequence[int], state: Sequence[int], cap: int | None,
+                node_budget: int) -> int:
+    """Tables filled one line (row or column) at a time; entries at most cap.
+
+    Line i takes a composition of lines[i] bounded by the remaining opposite
+    sums (each capped at cap), and one node is spent per composition.  The
+    remaining lines treat the opposite lines symmetrically, so the completion
+    count only depends on the multiset of remaining sums; sorting the state
+    collapses equivalent branches, and the memo holds one count per state.
     """
     budget = _NodeBudget(node_budget)
-    n = margins.num_cols
-    memo: Dict[Tuple[int, Tuple[int, ...]], int] = {}
-
-    def count(j: int, state: Tuple[int, ...]) -> int:
-        if j == n:
-            return 1 if not any(state) else 0
-        key = (j, state)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        total = 0
-        for comp in bounded_compositions(margins.col_sums[j], state):
-            budget.spend()
-            total += count(j + 1, tuple(sorted(a - b for a, b in zip(state, comp))))
-        memo[key] = total
-        return total
-
-    return count(0, tuple(sorted(margins.row_sums)))
-
-
-def exact_count_01(margins: Margins, node_budget: int = DEFAULT_NODE_BUDGET) -> int:
-    """Count 0-1 tables; infeasible margins give 0.
-
-    Rows are placed in order; the state is the sorted multiset of remaining
-    column sums, memoized as in the general dynamic program.
-    """
-    budget = _NodeBudget(node_budget)
-    m = margins.num_rows
-    n = margins.num_cols
-    from itertools import combinations
-
     memo: Dict[Tuple[int, Tuple[int, ...]], int] = {}
 
     def count(i: int, state: Tuple[int, ...]) -> int:
-        if i == m:
-            return 1 if not any(state) else 0
+        if i == len(lines):
+            return 0 if any(state) else 1
         key = (i, state)
         cached = memo.get(key)
         if cached is not None:
             return cached
-        r = margins.row_sums[i]
-        open_cols = [j for j in range(n) if state[j] > 0]
+        bounds = state if cap is None else tuple(min(s, cap) for s in state)
         total = 0
-        if r <= len(open_cols):
-            for chosen in combinations(open_cols, r):
-                budget.spend()
-                nxt = list(state)
-                for j in chosen:
-                    nxt[j] -= 1
-                total += count(i + 1, tuple(sorted(nxt)))
+        for comp in bounded_compositions(lines[i], bounds):
+            budget.spend()
+            total += count(i + 1, tuple(sorted(map(sub, state, comp))))
         memo[key] = total
         return total
 
-    return count(0, tuple(sorted(margins.col_sums)))
+    return count(0, tuple(sorted(state)))
+
+
+def exact_count_dp(margins: Margins, node_budget: int = DEFAULT_NODE_BUDGET) -> int:
+    """Column-by-column count over memoized sorted remaining row sums."""
+    return _line_count(margins.col_sums, margins.row_sums, None, node_budget)
+
+
+def exact_count_01(margins: Margins, node_budget: int = DEFAULT_NODE_BUDGET) -> int:
+    """Count 0-1 tables row by row over sorted remaining column sums;
+    infeasible margins give 0."""
+    return _line_count(margins.row_sums, margins.col_sums, 1, node_budget)
 
 
 def weighted_count_bruteforce(
@@ -435,25 +401,30 @@ def mc_sample_values(
     seed: int,
     weights: WeightMatrix | None = None,
     chunk_size: int = DEFAULT_CHUNK,
-    size_limit: int = DEFAULT_SIZE_LIMIT,
 ) -> np.ndarray:
     """Raw per-sample permanents of the random block matrix.
 
     Sample k draws its cell exponentials (row-major) from the child stream
     derive_seed(seed, k); with weights, cell (i, j) is scaled by w_ij.  Values
-    are independent of chunk_size.
+    are independent of chunk_size.  The permanent size N is at most
+    DEFAULT_SIZE_LIMIT, and the samples times the cells at most DRAW_BUDGET.
     """
     n_total = margins.total
-    if n_total > size_limit:
+    if n_total > DEFAULT_SIZE_LIMIT:
         raise PermanentSizeError(
-            f"margins total {n_total} exceeds permanent size limit {size_limit}",
-            limit=size_limit,
+            f"margins total {n_total} exceeds permanent size limit {DEFAULT_SIZE_LIMIT}",
+            limit=DEFAULT_SIZE_LIMIT,
         )
     if num_samples < 1:
         raise ValidationError("need at least one sample")
     if chunk_size < 1:
         raise ValidationError("chunk_size must be positive")
     m, n = margins.num_rows, margins.num_cols
+    if num_samples * m * n > DRAW_BUDGET:
+        raise EnumerationBudgetError(
+            f"{num_samples} samples of {m * n} cells exceed the draw budget {DRAW_BUDGET}",
+            limit=DRAW_BUDGET,
+        )
     w = None
     if weights is not None:
         _check_weight_shape(margins, weights)
@@ -468,13 +439,28 @@ def mc_sample_values(
         if w is not None:
             cells = cells * w
         blocks = cells[:, row_of][:, :, col_of]
-        out[start:stop] = permanent_float_batch(blocks, size_limit=size_limit)
+        out[start:stop] = permanent_float_batch(blocks)
     return out
 
 
-def _estimate_from_values(values: np.ndarray, divisor: float, seed: int) -> CountEstimate:
+def mc_estimate_count(
+    margins: Margins,
+    num_samples: int,
+    seed: int,
+    weights: WeightMatrix | None = None,
+    chunk_size: int = DEFAULT_CHUNK,
+) -> CountEstimate:
+    """Unbiased table-count estimate: average permanent over margin factorials.
+
+    With weights each cell draw is scaled by w_ij, and the estimate is of the
+    weight-power sum over tables, sum_D prod w_ij^d_ij: the exponential
+    moments supply exactly the factorials that cancel the divisor's per-table
+    surplus, so the target carries no 1/d! factor.
+    """
+    values = mc_sample_values(margins, num_samples, seed, weights, chunk_size)
     if values.size < 2:
         raise ValidationError("need at least two samples for a standard error")
+    divisor = float(margins.divisor())
     mean = float(np.mean(values)) / divisor
     std_err = float(np.std(values, ddof=1)) / (divisor * math.sqrt(values.size))
     return CountEstimate(
@@ -485,40 +471,6 @@ def _estimate_from_values(values: np.ndarray, divisor: float, seed: int) -> Coun
         num_samples=int(values.size),
         seed=seed,
     )
-
-
-def mc_estimate_count(
-    margins: Margins,
-    num_samples: int,
-    seed: int,
-    chunk_size: int = DEFAULT_CHUNK,
-    size_limit: int = DEFAULT_SIZE_LIMIT,
-) -> CountEstimate:
-    """Unbiased table-count estimate: average permanent over margin factorials."""
-    values = mc_sample_values(
-        margins, num_samples, seed, chunk_size=chunk_size, size_limit=size_limit
-    )
-    return _estimate_from_values(values, float(margins.divisor()), seed)
-
-
-def mc_weighted_count(
-    margins: Margins,
-    weights: WeightMatrix,
-    num_samples: int,
-    seed: int,
-    chunk_size: int = DEFAULT_CHUNK,
-    size_limit: int = DEFAULT_SIZE_LIMIT,
-) -> CountEstimate:
-    """Unbiased estimate of the weight-power sum over tables.
-
-    Each cell draw is scaled by w_ij; the exponential moments supply exactly
-    the factorials that cancel the divisor's per-table surplus, so the target
-    carries no 1/d! factor.
-    """
-    values = mc_sample_values(
-        margins, num_samples, seed, weights=weights, chunk_size=chunk_size, size_limit=size_limit
-    )
-    return _estimate_from_values(values, float(margins.divisor()), seed)
 
 
 def chebyshev_sample_count(margins: Margins, epsilon: float, failure: float = 1.0 / 3.0) -> int:
@@ -537,16 +489,13 @@ def variance_ratio_report(
     num_samples: int,
     seed: int,
     chunk_size: int = DEFAULT_CHUNK,
-    size_limit: int = DEFAULT_SIZE_LIMIT,
 ) -> VarianceReport:
     """Empirical E[perm^2]/E[perm]^2 with the proven bounds.
 
     The general bound is 2^(2N).  The bounded-margin bound exp(rho^2 (2 rho)!)
     overflows floats beyond rho = 2 and is then reported by its exponent only.
     """
-    values = mc_sample_values(
-        margins, num_samples, seed, chunk_size=chunk_size, size_limit=size_limit
-    )
+    values = mc_sample_values(margins, num_samples, seed, chunk_size=chunk_size)
     if values.size < 2:
         raise ValidationError("need at least two samples")
     squares = values * values
@@ -910,7 +859,7 @@ def lowrank_weighted_count(
     exact_surrogate: bool = False,
     rank_bound: int = DEFAULT_RANK_BOUND,
 ) -> LowRankResult:
-    """Approximate weight-power sum over tables (the mc_weighted_count target).
+    """Approximate weight-power sum over tables (the weighted mc_estimate_count target).
 
     Row i's forms carry coefficients w_ij times truncated exponential draws, so
     the pairing approximates sum over tables of prod w_ij^d_ij within the

@@ -32,7 +32,8 @@ class TermBudgetError(BudgetError):
 
 
 class EnumerationBudgetError(BudgetError):
-    """An exact enumeration (tables, monomials) would exceed its node budget."""
+    """An exact enumeration (tables, monomials) would exceed its node budget,
+    or a random draw request the draw budget."""
 
 
 class PermanentSizeError(BudgetError):

@@ -25,7 +25,7 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from .errors import SurjectionSamplingError, ValidationError
+from .errors import EnumerationBudgetError, SurjectionSamplingError, ValidationError
 from .polynomial import (
     DEFAULT_ENUMERATION_BUDGET,
     LinearForm,
@@ -35,7 +35,7 @@ from .polynomial import (
     monomials,
     product_of_forms,
 )
-from .rng import derive_seed_block, integer_matrix, truncated_exponential_matrix
+from .rng import DRAW_BUDGET, derive_seed_block, integer_matrix, truncated_exponential_matrix
 
 
 def truncation_tail(kappa: float, r: int) -> float:
@@ -248,6 +248,16 @@ class ApproxSymmetricPoly:
         )
 
 
+def _check_form_count(m: int, n: int) -> None:
+    """A family of m forms over n variables draws m * n values, at most DRAW_BUDGET."""
+    if m < 1:
+        raise ValidationError("form count must be positive")
+    if m * n > DRAW_BUDGET:
+        raise EnumerationBudgetError(
+            f"{m} forms of {n} variables exceed the draw budget {DRAW_BUDGET}", limit=DRAW_BUDGET
+        )
+
+
 def build_h_tilde(
     r: int, n: int, epsilon: float, seed: int, form_count: int | None = None
 ) -> ApproxSymmetricPoly:
@@ -262,8 +272,7 @@ def build_h_tilde(
     if n < 1:
         raise ValidationError("n must be at least 1")
     m = choose_sample_count(r, epsilon, n) if form_count is None else int(form_count)
-    if m < 1:
-        raise ValidationError("form count must be positive")
+    _check_form_count(m, n)
     delta = 1.0 - math.sqrt(1.0 - epsilon)
     spec = solve_threshold(r, delta)
     gamma = truncated_exponential_matrix(derive_seed_block(seed, m), n, spec.kappa)
@@ -294,8 +303,7 @@ def build_e_tilde(
     if not 1 <= r <= n:
         raise ValidationError("need 1 <= r <= n")
     m = choose_elementary_sample_count(r, epsilon, n) if form_count is None else int(form_count)
-    if m < 1:
-        raise ValidationError("form count must be positive")
+    _check_form_count(m, n)
     expected_attempts = r**n / surjection_count(n, r)
     retry_limit = math.ceil(50 * expected_attempts)
     seeds = derive_seed_block(seed, m)

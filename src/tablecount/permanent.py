@@ -74,8 +74,9 @@ def permanent_exact(matrix, size_limit: int = DEFAULT_SIZE_LIMIT) -> Coeff:
     return total if n % 2 == 0 else -total
 
 
-def permanent_float_batch(matrices: np.ndarray, size_limit: int = DEFAULT_SIZE_LIMIT) -> np.ndarray:
-    """Permanents of a (B, N, N) float array, one value per matrix.
+def permanent_float_batch(matrices: np.ndarray) -> np.ndarray:
+    """Permanents of a (B, N, N) float array, one value per matrix, for N up
+    to DEFAULT_SIZE_LIMIT.
 
     Subset enumeration order is fixed, so each matrix's value is independent
     of the batch it arrives in.
@@ -84,8 +85,10 @@ def permanent_float_batch(matrices: np.ndarray, size_limit: int = DEFAULT_SIZE_L
     if arr.ndim != 3 or arr.shape[1] != arr.shape[2]:
         raise ValidationError("expected a (batch, N, N) array")
     b, n = arr.shape[0], arr.shape[1]
-    if n > size_limit:
-        raise PermanentSizeError(f"matrix size {n} exceeds limit {size_limit}", limit=size_limit)
+    if n > DEFAULT_SIZE_LIMIT:
+        raise PermanentSizeError(
+            f"matrix size {n} exceeds limit {DEFAULT_SIZE_LIMIT}", limit=DEFAULT_SIZE_LIMIT
+        )
     if n == 0:
         return np.ones(b)
     row_sums = np.zeros((b, n))

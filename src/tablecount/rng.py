@@ -25,6 +25,10 @@ _SPLIT = 0xC2B2AE3D27D4EB4F
 
 _INV_2_53 = 2.0 ** -53
 
+# Most random values one request may draw, 800 MB as doubles: 11 times the
+# largest routine request, 10^6 Monte Carlo samples of 9 cells.
+DRAW_BUDGET = 10**8
+
 
 def mix64(x: int) -> int:
     """64-bit avalanche finalizer from SplitMix64."""
@@ -53,12 +57,13 @@ def _mix_block(x: np.ndarray) -> np.ndarray:
     return x ^ (x >> np.uint64(31))
 
 
-def _raw_block(seed: int, start: int, count: int) -> np.ndarray:
-    """uint64 outputs at positions start .. start+count-1 of the stream."""
-    if count < 0:
+def _raw_matrix(seeds: np.ndarray, columns: int, start: int = 0) -> np.ndarray:
+    """Row i holds the uint64 outputs start .. start+columns-1 of the stream
+    seeded by seeds[i]."""
+    if columns < 0:
         raise ValueError("count must be non-negative")
-    idx = np.arange(start + 1, start + count + 1, dtype=np.uint64)
-    return _mix_block(np.uint64(seed) + idx * np.uint64(_GAMMA))
+    idx = np.arange(start + 1, start + columns + 1, dtype=np.uint64)
+    return _mix_block(seeds[:, None].astype(np.uint64) + idx[None, :] * np.uint64(_GAMMA))
 
 
 def derive_seed_block(seed: int, count: int) -> np.ndarray:
@@ -72,25 +77,31 @@ def derive_seed_block(seed: int, count: int) -> np.ndarray:
 
 
 def uniform_matrix(seeds: np.ndarray, columns: int, start: int = 0) -> np.ndarray:
-    """Row i holds uniforms start .. start+columns-1 of the stream seeded by seeds[i]."""
-    idx = np.arange(start + 1, start + columns + 1, dtype=np.uint64)
-    raw = _mix_block(seeds[:, None].astype(np.uint64) + idx[None, :] * np.uint64(_GAMMA))
-    return (raw >> np.uint64(11)).astype(np.float64) * _INV_2_53
+    """Doubles in [0, 1) with 53 random bits each.  Row i of this and every
+    matrix draw below reads positions start .. start+columns-1 of seeds[i]."""
+    return (_raw_matrix(seeds, columns, start) >> np.uint64(11)).astype(np.float64) * _INV_2_53
 
 
 def integer_matrix(seeds: np.ndarray, columns: int, upper: int, start: int = 0) -> np.ndarray:
-    """Row i equals SplitMix64Stream(seeds[i], start).integers(columns, upper)."""
+    """Integers uniform on {0, ..., upper-1}."""
     if upper <= 0:
         raise ValueError("upper must be positive")
     return np.minimum((uniform_matrix(seeds, columns, start) * upper).astype(np.int64), upper - 1)
 
 
-def exponential_matrix(seeds: np.ndarray, columns: int) -> np.ndarray:
-    return -np.log1p(-uniform_matrix(seeds, columns))
+def exponential_matrix(seeds: np.ndarray, columns: int, start: int = 0) -> np.ndarray:
+    """Standard exponential variates via inversion."""
+    # -log1p(-u) is exact for u near 0 and finite for all u < 1
+    return -np.log1p(-uniform_matrix(seeds, columns, start))
 
 
-def truncated_exponential_matrix(seeds: np.ndarray, columns: int, kappa: float) -> np.ndarray:
-    g = exponential_matrix(seeds, columns)
+def truncated_exponential_matrix(
+    seeds: np.ndarray, columns: int, kappa: float, start: int = 0
+) -> np.ndarray:
+    """Exponential variates with values above kappa replaced by zero."""
+    if kappa < 0:
+        raise ValueError("kappa must be non-negative")
+    g = exponential_matrix(seeds, columns, start)
     return np.where(g <= kappa, g, 0.0)
 
 
@@ -99,7 +110,7 @@ class SplitMix64Stream:
 
     The stream tracks its position, so successive calls return successive
     blocks; reading 8 values in one call or in two calls of 5 and 3 yields
-    identical numbers.
+    identical numbers.  Each call is the one-row matrix draw at the position.
     """
 
     def __init__(self, seed: int, position: int = 0):
@@ -110,29 +121,22 @@ class SplitMix64Stream:
         """Independent child stream number ``index``."""
         return SplitMix64Stream(derive_seed(self.seed, index))
 
-    def uint64(self, count: int) -> np.ndarray:
-        block = _raw_block(self.seed, self.position, count)
+    def _row(self, draw, count: int, *args) -> np.ndarray:
+        block = draw(np.array([self.seed], dtype=np.uint64), count, *args, start=self.position)
         self.position += count
-        return block
+        return block[0]
+
+    def uint64(self, count: int) -> np.ndarray:
+        return self._row(_raw_matrix, count)
 
     def uniform(self, count: int) -> np.ndarray:
-        """Doubles in [0, 1) with 53 random bits each."""
-        return (self.uint64(count) >> np.uint64(11)).astype(np.float64) * _INV_2_53
+        return self._row(uniform_matrix, count)
 
     def exponential(self, count: int) -> np.ndarray:
-        """Standard exponential variates via inversion."""
-        # -log1p(-u) is exact for u near 0 and finite for all u < 1
-        return -np.log1p(-self.uniform(count))
+        return self._row(exponential_matrix, count)
 
     def truncated_exponential(self, count: int, kappa: float) -> np.ndarray:
-        """Exponential variates with values above kappa replaced by zero."""
-        if kappa < 0:
-            raise ValueError("kappa must be non-negative")
-        g = self.exponential(count)
-        return np.where(g <= kappa, g, 0.0)
+        return self._row(truncated_exponential_matrix, count, kappa)
 
     def integers(self, count: int, upper: int) -> np.ndarray:
-        """Integers uniform on {0, ..., upper-1}."""
-        if upper <= 0:
-            raise ValueError("upper must be positive")
-        return np.minimum((self.uniform(count) * upper).astype(np.int64), upper - 1)
+        return self._row(integer_matrix, count, upper)

@@ -74,6 +74,31 @@ def test_budget_error_exits_3(capsys):
     assert "error" in json.loads(err)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["estimate", "--rows", "2,2", "--cols", "2,2", "--samples", "1000000000000"],
+        ["verify-coeffs", "--degree", "6", "--vars", "10"],
+        ["verify-coeffs", "--degree", "10", "--vars", "10"],
+    ],
+)
+def test_oversized_draw_request_exits_3_at_once(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert out == "" and err.count("\n") == 1
+    assert "draw budget" in json.loads(err)["error"]
+
+
+def test_perm_cap_flag_is_gone(capsys):
+    code, out, err = run_cli(
+        capsys, "estimate", "--rows", "2,2", "--cols", "2,2", "--perm-cap", "22", "--samples", "10"
+    )
+    assert code == 2
+    assert out == "" and "--perm-cap" in json.loads(err)["error"]
+
+
 def test_env_seed_used_only_without_flag(capsys, monkeypatch):
     report = run_json(
         capsys, "estimate", "--rows", "1,1", "--cols", "1,1", "--samples", "10",

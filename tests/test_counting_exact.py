@@ -107,6 +107,24 @@ def test_enumeration_budget_fires():
         exact_count_bruteforce(m, node_budget=10)
 
 
+@pytest.mark.parametrize(
+    "count, rows, cols, spend",
+    [
+        (exact_count_dp, (3, 3, 3, 3), (4, 4, 4), 94),
+        (exact_count_dp, (10,) * 4, (10,) * 4, 9286),
+        (exact_count_01, (3,) * 6, (3,) * 6, 240),
+        (exact_count_01, (3,) * 7, (3,) * 7, 609),
+    ],
+)
+def test_dp_node_spend_is_pinned(count, rows, cols, spend):
+    # one node per composition a line takes, once per memoized state
+    m = Margins(rows, cols)
+    value = count(m, node_budget=spend)
+    with pytest.raises(EnumerationBudgetError):
+        count(m, node_budget=spend - 1)
+    assert value == count(m)
+
+
 def test_counts_invariant_under_margin_permutations():
     m = Margins([3, 1, 2], [2, 2, 2])
     p = Margins([1, 2, 3], [2, 2, 2])

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from tablecount.errors import PermanentSizeError, ValidationError
-from tablecount.rng import derive_seed_block, exponential_matrix
+from tablecount.errors import EnumerationBudgetError, PermanentSizeError, ValidationError
+from tablecount.rng import DRAW_BUDGET, derive_seed_block, exponential_matrix
 from tablecount.counting import (
     Margins,
     WeightMatrix,
@@ -12,7 +12,6 @@ from tablecount.counting import (
     exact_count_bruteforce,
     mc_estimate_count,
     mc_sample_values,
-    mc_weighted_count,
     variance_ratio_report,
     weighted_count_bruteforce,
 )
@@ -79,26 +78,37 @@ def test_needs_two_samples():
 def test_size_limit_guard():
     m = Margins([5] * 5, [5] * 5)
     with pytest.raises(PermanentSizeError):
-        mc_sample_values(m, 2, seed=0, size_limit=22)
+        mc_sample_values(m, 2, seed=0)
 
 
 def test_weighted_unit_weights_match_plain_scaled():
     # with all weights 1 the weighted sampler targets the raw table count
     m = Margins([2, 2], [2, 2])
     w = WeightMatrix([[1, 1], [1, 1]])
-    est = mc_weighted_count(m, w, 30000, seed=9)
+    est = mc_estimate_count(m, 30000, seed=9, weights=w)
     assert abs(est.mean - 3) < 4 * est.std_err
     plain = mc_sample_values(m, 30000, seed=9)
     weighted = mc_sample_values(m, 30000, seed=9, weights=w)
     assert np.array_equal(plain, weighted)
+    assert est == mc_estimate_count(m, 30000, seed=9)
 
 
 def test_weighted_estimate_tracks_bruteforce_target():
     m = Margins([2, 1], [1, 1, 1])
     w = WeightMatrix([[0.5, 1.0, 2.0], [1.5, 0.25, 1.0]])
     target = weighted_count_bruteforce(m, w, include_factorials=False)
-    est = mc_weighted_count(m, w, 80000, seed=13)
+    est = mc_estimate_count(m, 80000, seed=13, weights=w)
     assert abs(est.mean - target) < 4 * est.std_err
+
+
+def test_draw_budget_guard_before_allocating():
+    # 10^12 samples of 4 cells would need terabytes; the request fails first
+    m = Margins([2, 2], [2, 2])
+    with pytest.raises(EnumerationBudgetError) as info:
+        mc_estimate_count(m, 10**12, seed=0)
+    assert info.value.limit == DRAW_BUDGET
+    with pytest.raises(EnumerationBudgetError):
+        mc_sample_values(m, DRAW_BUDGET // 4 + 1, seed=0)
 
 
 def test_weighted_scaling_by_constant():

@@ -25,7 +25,7 @@ from tablecount.lowrank import (
     verify_coefficients,
 )
 from tablecount.polynomial import monomials
-from tablecount.rng import SplitMix64Stream, derive_seed
+from tablecount.rng import DRAW_BUDGET, SplitMix64Stream, derive_seed
 
 
 def test_solve_threshold_degree_zero_is_ln2():
@@ -163,6 +163,14 @@ def test_elementary_scale_denominator():
 def test_build_e_tilde_rejects_r_above_n():
     with pytest.raises(ValidationError):
         build_e_tilde(3, 2, 0.3, seed=0)
+
+
+@pytest.mark.parametrize("build", [build_h_tilde, build_e_tilde])
+def test_family_past_draw_budget_fails_before_drawing(build):
+    # forms times variables is checked before the seed block is allocated
+    with pytest.raises(EnumerationBudgetError) as info:
+        build(2, 10, 0.3, seed=0, form_count=DRAW_BUDGET // 10 + 1)
+    assert info.value.limit == DRAW_BUDGET
 
 
 def test_build_e_tilde_groups_partition_variables():

@@ -300,21 +300,24 @@ def _line_count(lines: Sequence[int], state: Sequence[int], cap: int | None,
     collapses equivalent branches, and the memo holds one count per state.
     """
     budget = _NodeBudget(node_budget)
-    memo: Dict[Tuple[int, Tuple[int, ...]], int] = {}
+    depth = len(lines)
+    # memo[i] maps a sorted state to its count from line i on; the loop reads
+    # it before recursing, so a known state costs no call
+    memo: List[Dict[Tuple[int, ...], int]] = [{} for _ in range(depth)]
+    memo.append({(0,) * len(state): 1})
 
     def count(i: int, state: Tuple[int, ...]) -> int:
-        if i == len(lines):
+        if i == depth:
             return 0 if any(state) else 1
-        key = (i, state)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
         bounds = state if cap is None else tuple(min(s, cap) for s in state)
+        below = memo[i + 1]
         total = 0
         for comp in bounded_compositions(lines[i], bounds):
             budget.spend()
-            total += count(i + 1, tuple(sorted(map(sub, state, comp))))
-        memo[key] = total
+            rest = tuple(sorted(map(sub, state, comp)))
+            known = below.get(rest)
+            total += count(i + 1, rest) if known is None else known
+        memo[i][state] = total
         return total
 
     return count(0, tuple(sorted(state)))
@@ -431,11 +434,11 @@ def mc_sample_values(
         w = weights.to_numpy()
     row_of = np.repeat(np.arange(m), margins.row_sums)
     col_of = np.repeat(np.arange(n), margins.col_sums)
-    seeds = derive_seed_block(seed, num_samples)
     out = np.empty(num_samples)
     for start in range(0, num_samples, chunk_size):
         stop = min(start + chunk_size, num_samples)
-        cells = exponential_matrix(seeds[start:stop], m * n).reshape(-1, m, n)
+        seeds = derive_seed_block(seed, stop - start, start)
+        cells = exponential_matrix(seeds, m * n).reshape(-1, m, n)
         if w is not None:
             cells = cells * w
         blocks = cells[:, row_of][:, :, col_of]

@@ -21,6 +21,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import Sequence, Tuple
 
 import numpy as np
@@ -324,6 +325,10 @@ def build_e_tilde(
     )
 
 
+# entries of one gathered block of surjection bits in approx_coefficients
+_GATHER_CELLS = 1 << 16
+
+
 @dataclass(frozen=True)
 class CoefficientReport:
     """Outcome of comparing an approximation's coefficients against 1."""
@@ -365,13 +370,20 @@ def approx_coefficients(
             yield expo, coeff
     else:
         expos = monomials(r, (1,) * n, budget)
-        assignments = approx.forms
-        target = np.arange(r)
-        for expo in expos:
-            combo = [j for j, a in enumerate(expo) if a]
-            hits = np.sort(assignments[:, combo], axis=1)
-            count = int(np.sum(np.all(hits == target, axis=1)))
-            yield expo, approx.scale * count
+        # surjection i hits x_S when the blocks of S's r variables are all
+        # distinct, that is when the OR of their block bits is all r bits;
+        # past 64 blocks the bits are Python ints
+        dtype = np.uint64 if r <= 64 else object
+        bits = np.left_shift(np.ones((), dtype=dtype), approx.forms.T.astype(dtype))
+        full = np.array((1 << r) - 1, dtype=dtype)
+        # monomials per block: the (monomials, r, forms) gather holds at most
+        # _GATHER_CELLS entries, 512 KB, unless one monomial needs more
+        per_block = max(1, _GATHER_CELLS // (max(r, 1) * len(approx.forms)))
+        while chunk := list(islice(expos, per_block)):
+            support = np.flatnonzero(np.array(chunk, dtype=bool)).reshape(len(chunk), r) % n
+            union = np.bitwise_or.reduce(bits[support], axis=1)
+            for expo, count in zip(chunk, np.count_nonzero(union == full, axis=1).tolist()):
+                yield expo, approx.scale * count
 
 
 def _band_report(coefficients, r: int, epsilon: float) -> CoefficientReport:

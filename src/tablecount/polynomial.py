@@ -53,23 +53,48 @@ def bounded_compositions(total: int, bounds: Sequence[int]) -> Iterator[Exponent
 
     Vectors come in descending lexicographic order, the order in which
     itertools.combinations(_with_replacement) lists the matching monomials.
+    A negative bound admits no vector.
+
+    An odometer over the head, all coordinates but the last two: for each
+    head the last two run through their values in one loop.  To step the
+    head, the rightmost coordinate that is positive and whose tail can take
+    one more unit loses one, and everything right of it is refilled greedily.
+    rem is the part of total that the coordinates right of the head carry.
     """
     k = len(bounds)
     suffix = [0] * (k + 1)
     for i in range(k - 1, -1, -1):
         suffix[i] = suffix[i + 1] + bounds[i]
-
-    def rec(idx: int, remaining: int, prefix: Exponent) -> Iterator[Exponent]:
-        if idx == k:
-            if remaining == 0:
-                yield prefix
+    if total < 0 or total > suffix[0] or min(bounds, default=0) < 0:
+        return
+    if k < 2:
+        yield (total,) * k
+        return
+    last = k - 2
+    b_last, b_end = bounds[last], bounds[last + 1]
+    head = [0] * last
+    rem = total
+    for j in range(last):
+        b = bounds[j]
+        head[j] = v = b if b < rem else rem
+        rem -= v
+    while True:
+        prefix = tuple(head)
+        lo = rem - b_end
+        for v in range(b_last if b_last < rem else rem, (lo if lo > 0 else 0) - 1, -1):
+            yield prefix + (v, rem - v)
+        i = last - 1
+        while i >= 0 and (not head[i] or rem >= suffix[i + 1]):
+            rem += head[i]
+            i -= 1
+        if i < 0:
             return
-        lo = max(0, remaining - suffix[idx + 1])
-        hi = min(bounds[idx], remaining)
-        for v in range(hi, lo - 1, -1):
-            yield from rec(idx + 1, remaining - v, prefix + (v,))
-
-    return rec(0, total, ())
+        head[i] -= 1
+        rem += 1
+        for j in range(i + 1, last):
+            b = bounds[j]
+            head[j] = v = b if b < rem else rem
+            rem -= v
 
 
 def composition_count(total: int, bounds: Sequence[int], limit: int) -> int:

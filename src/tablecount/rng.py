@@ -66,12 +66,15 @@ def _raw_matrix(seeds: np.ndarray, columns: int, start: int = 0) -> np.ndarray:
     return _mix_block(seeds[:, None].astype(np.uint64) + idx[None, :] * np.uint64(_GAMMA))
 
 
-def derive_seed_block(seed: int, count: int) -> np.ndarray:
-    """Child seeds 0..count-1 as one uint64 array; row i equals derive_seed(seed, i).
+def derive_seed_block(seed: int, count: int, start: int = 0) -> np.ndarray:
+    """Child seeds start..start+count-1 as one uint64 array; row i equals
+    derive_seed(seed, start + i).
 
     Like derive_seed, any integer seed is taken mod 2^64.
     """
-    idx = np.arange(1, count + 1, dtype=np.uint64)
+    if start < 0:
+        raise ValueError("start must be non-negative")
+    idx = np.arange(start + 1, start + count + 1, dtype=np.uint64)
     tags = _mix_block(idx * np.uint64(_SPLIT))
     return _mix_block(np.uint64(seed & MASK64) ^ tags)
 

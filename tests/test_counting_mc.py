@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -55,6 +56,26 @@ def test_estimate_deterministic_and_chunk_invariant():
     assert a.mean == c.mean and a.std_err == c.std_err
     d = mc_estimate_count(m, 3000, seed=6)
     assert d.mean != a.mean
+
+
+def test_sample_values_identical_for_every_chunk_size():
+    m = Margins([2, 1], [1, 1, 1])
+    values = mc_sample_values(m, 50, seed=9, chunk_size=50)
+    for chunk_size in (1, 7, 49, 10**6):
+        assert np.array_equal(mc_sample_values(m, 50, seed=9, chunk_size=chunk_size), values)
+
+
+def test_estimate_memory_per_sample_is_bounded():
+    # child seeds are derived per chunk: beyond the chunk, only the per-sample
+    # values and one temporary of np.std stay alive, 16 bytes a sample
+    samples = 10**6
+    tracemalloc.start()
+    try:
+        mc_estimate_count(Margins([1], [1]), samples, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 20 * samples
 
 
 def test_estimate_ci_contains_truth():

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -274,6 +275,45 @@ def test_e_tilde_assignments_match_per_group_rejection(r, n, seed, forms):
         expected.append(assignment)
     assert approx.forms.dtype == np.int64
     assert np.array_equal(approx.forms, np.array(expected))
+
+
+def _sorted_block_coefficients(approx):
+    """Elementary coefficients one monomial at a time: a surjection hits x_S
+    when the sorted blocks of S's variables are 0..r-1."""
+    target = np.arange(approx.r)
+    for expo in monomials(approx.r, (1,) * approx.num_vars):
+        combo = [j for j, a in enumerate(expo) if a]
+        hits = np.sort(approx.forms[:, combo], axis=1)
+        yield expo, approx.scale * int(np.sum(np.all(hits == target, axis=1)))
+
+
+@pytest.mark.parametrize("r,n,seed,forms", [(1, 4, 9, 5), (1, 9, 3, 200), (4, 4, 2, 7), (6, 6, 5, 90),
+                                            (5, 7, 11, 60), (3, 3, 2, 40), (3, 8, 1, 3000)])
+def test_elementary_coefficients_equal_sorted_block_count(r, n, seed, forms):
+    approx = build_e_tilde(r, n, 0.3, seed, form_count=forms)
+    assert list(approx_coefficients(approx)) == list(_sorted_block_coefficients(approx))
+
+
+@pytest.mark.parametrize("r", [64, 65])
+def test_elementary_coefficients_past_machine_word(r):
+    # block bits of 64 blocks fill a uint64; 65 need Python ints
+    rng = np.random.default_rng(r)
+    forms = [rng.permutation(r) for _ in range(3)] + [np.zeros(r, dtype=np.int64)]
+    approx = ApproxSymmetricPoly("elementary", r, r, 0.3, 0, 0.5, np.array(forms))
+    assert list(approx_coefficients(approx)) == [((1,) * r, 1.5)]
+
+
+def test_elementary_coefficients_memory_is_bounded():
+    # unblocked, the (monomials, forms) hit array would be 4368 x 20000 int64, 699 MB
+    approx = build_e_tilde(5, 16, 0.3, 3, form_count=20000)
+    tracemalloc.start()
+    try:
+        checked = sum(1 for _ in approx_coefficients(approx))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert checked == math.comb(16, 5)
+    assert peak < 64 * 2**20
 
 
 @pytest.mark.parametrize("build,r,n", [(build_h_tilde, 3, 4), (build_h_tilde, 2, 5), (build_e_tilde, 3, 6)])

@@ -1,3 +1,6 @@
+import itertools
+import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -36,6 +39,34 @@ def test_composition_count_matches_enumeration(limit):
             listed = len(list(bounded_compositions(total, bounds)))
             got = composition_count(total, bounds, limit)
             assert got == listed if listed <= limit else got > limit, (bounds, total)
+
+
+def _compositions_reference(total, bounds):
+    return sorted(
+        (v for v in itertools.product(*(range(b + 1) for b in bounds)) if sum(v) == total),
+        reverse=True,
+    )
+
+
+def test_bounded_compositions_match_product_reference():
+    rng = random.Random(20)
+    cases = [(0, ()), (1, ()), (-1, ()), (0, (0, 0)), (2, (0, 3, 0)), (-1, (2, 2)), (5, (1, 1)),
+             (2, (-1, 2, 2)), (1, (2, -1))]
+    for _ in range(300):
+        bounds = tuple(rng.choice((0, 0, 1, 2, 3, 4)) for _ in range(rng.randint(0, 6)))
+        cases.append((rng.randint(-2, sum(bounds) + 2), bounds))
+    for total, bounds in cases:
+        # same vectors, same descending lexicographic order
+        assert list(bounded_compositions(total, bounds)) == _compositions_reference(total, bounds), (
+            total, bounds)
+
+
+def test_bounded_compositions_is_lazy():
+    # about 10^13 vectors: only a generator that lists none up front returns at once
+    began = time.perf_counter()
+    first = next(bounded_compositions(60, (60,) * 12))
+    assert time.perf_counter() - began < 0.5
+    assert first == (60,) + (0,) * 11
 
 
 def test_composition_count_wide_window_stops_early():

@@ -1,6 +1,7 @@
 import numpy as np
+import pytest
 
-from tablecount.rng import MASK64, SplitMix64Stream, derive_seed, mix64
+from tablecount.rng import MASK64, SplitMix64Stream, derive_seed, derive_seed_block, mix64
 
 
 def test_mix64_matches_vector_path():
@@ -83,3 +84,12 @@ def test_matrix_paths_match_per_stream_draws():
     for i in range(6):
         row = SplitMix64Stream(derive_seed(master, i)).truncated_exponential(9, 1.2)
         assert np.array_equal(trunc[i], row)
+
+
+def test_derive_seed_block_offset_continues_the_block():
+    whole = derive_seed_block(31, 52)
+    parts = [derive_seed_block(31, 13, start) for start in range(0, 40, 13)]
+    assert np.array_equal(np.concatenate(parts), whole)
+    assert int(derive_seed_block(31, 1, 2**40)[0]) == derive_seed(31, 2**40)
+    with pytest.raises(ValueError):
+        derive_seed_block(31, 3, -1)

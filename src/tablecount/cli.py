@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import BudgetError, SurjectionSamplingError, TableCountError, ValidationError
 from .lowrank import approx_coefficients, build_e_tilde, build_h_tilde, verify_coefficients
-from .polynomial import DEFAULT_TERM_CAP, SparsePolynomial, poly_to_text
+from .polynomial import SparsePolynomial, poly_to_text
 from .counting import (
     Margins,
     WeightMatrix,
@@ -187,14 +187,7 @@ def _cmd_weighted(args: argparse.Namespace) -> Dict[str, Any]:
         report.update(_estimate_fields(est))
     else:
         seed = _resolve_seed(args)
-        res = lowrank_weighted_count(
-            margins,
-            weights,
-            args.epsilon,
-            seed,
-            repeats=args.repeats,
-            term_cap=args.term_cap,
-        )
+        res = lowrank_weighted_count(margins, weights, args.epsilon, seed, repeats=args.repeats)
         report.update(_lowrank_fields(res))
     return report
 
@@ -227,13 +220,7 @@ def _lowrank_fields(res: Any) -> Dict[str, Any]:
 def _cmd_lowrank(args: argparse.Namespace) -> Dict[str, Any]:
     margins = _load_margins(args)
     count = lowrank_01_count if args.command == "lowrank01" else lowrank_asymptotic_count
-    res = count(
-        margins,
-        args.epsilon,
-        _resolve_seed(args),
-        repeats=args.repeats,
-        term_cap=args.term_cap,
-    )
+    res = count(margins, args.epsilon, _resolve_seed(args), repeats=args.repeats)
     report = _margins_echo(margins)
     report.update(_lowrank_fields(res))
     return report
@@ -247,12 +234,7 @@ def _cmd_lowrank_colsets(args: argparse.Namespace) -> Dict[str, Any]:
     rows = _parse_int_list(args.rows, "--rows")
     column_sets = _parse_column_sets(args.col_sets)
     res = lowrank_column_sets_count(
-        rows,
-        column_sets,
-        args.epsilon,
-        _resolve_seed(args),
-        repeats=args.repeats,
-        term_cap=args.term_cap,
+        rows, column_sets, args.epsilon, _resolve_seed(args), repeats=args.repeats
     )
     report: Dict[str, Any] = {"rows": rows, "col_sets": column_sets}
     report.update(_lowrank_fields(res))
@@ -265,9 +247,12 @@ def _cmd_verify_coeffs(args: argparse.Namespace) -> Dict[str, Any]:
     approx = build(args.degree, args.vars, args.epsilon, seed)
     rep = verify_coefficients(approx)
     if args.dump_poly is not None:
-        with open(args.dump_poly, "w", encoding="utf-8") as handle:
-            poly = SparsePolynomial(approx.num_vars, dict(approx_coefficients(approx)))
-            handle.write(poly_to_text(poly))
+        try:
+            with open(args.dump_poly, "w", encoding="utf-8") as handle:
+                poly = SparsePolynomial(approx.num_vars, dict(approx_coefficients(approx)))
+                handle.write(poly_to_text(poly))
+        except OSError as exc:
+            raise ValidationError(f"cannot write {args.dump_poly}: {exc.strerror or exc}")
     lo, hi = rep.band
     return {
         "kind": args.kind,
@@ -322,16 +307,8 @@ def _cmd_compare(args: argparse.Namespace) -> Dict[str, Any]:
     add("fy", lambda: fisher_yates_count(margins))
     add("bekessy", lambda: bekessy_estimate(margins))
     add("montecarlo", lambda: mc_estimate_count(margins, args.samples, seed).mean)
-    add(
-        "lowrank",
-        lambda: lowrank_asymptotic_count(
-            margins,
-            args.epsilon,
-            seed,
-            repeats=args.repeats,
-            term_cap=args.term_cap,
-        ).value,
-    )
+    add("lowrank",
+        lambda: lowrank_asymptotic_count(margins, args.epsilon, seed, repeats=args.repeats).value)
     report = _margins_echo(margins)
     report.update(seed=seed, samples=args.samples, epsilon=args.epsilon, methods=methods)
     return report
@@ -356,13 +333,9 @@ def _add_margin_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--margins-file", help="JSON {rows, cols} or two-line CSV")
 
 
-def _add_common_flags(sub: argparse.ArgumentParser, term_cap: bool = False) -> None:
+def _add_common_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--seed", type=int, default=None,
                      help=f"RNG seed (default {DEFAULT_SEED}, or TABLECOUNT_SEED)")
-    if term_cap:
-        sub.add_argument("--term-cap", type=int, default=DEFAULT_TERM_CAP,
-                         help="maximum term count of the expanded low-rank pairing, "
-                              "checked before any sampling")
     sub.add_argument("--output", choices=("json", "table"), default="json")
 
 
@@ -401,21 +374,21 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--samples", type=int, default=10000)
     sub.add_argument("--epsilon", type=float, default=0.2)
     sub.add_argument("--repeats", type=int, default=1)
-    _add_common_flags(sub, term_cap=True)
+    _add_common_flags(sub)
 
     for name in ("lowrank", "lowrank01"):
         sub = subs.add_parser(name)
         _add_margin_flags(sub)
         sub.add_argument("--epsilon", type=float, default=0.2)
         sub.add_argument("--repeats", type=int, default=1)
-        _add_common_flags(sub, term_cap=True)
+        _add_common_flags(sub)
 
     sub = subs.add_parser("lowrank-colsets")
     sub.add_argument("--rows", help="comma-separated row sums")
     sub.add_argument("--col-sets", help="allowed sums per column, ';'-separated")
     sub.add_argument("--epsilon", type=float, default=0.2)
     sub.add_argument("--repeats", type=int, default=1)
-    _add_common_flags(sub, term_cap=True)
+    _add_common_flags(sub)
 
     sub = subs.add_parser("verify-coeffs")
     sub.add_argument("--kind", choices=("complete", "elementary"), default="complete")
@@ -435,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--samples", type=int, default=10000)
     sub.add_argument("--epsilon", type=float, default=0.2)
     sub.add_argument("--repeats", type=int, default=1)
-    _add_common_flags(sub, term_cap=True)
+    _add_common_flags(sub)
 
     return parser
 

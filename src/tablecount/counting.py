@@ -45,7 +45,6 @@ from .errors import (
     DimensionMismatchError,
     EnumerationBudgetError,
     PermanentSizeError,
-    RankBoundError,
     TermBudgetError,
     ValidationError,
 )
@@ -78,7 +77,6 @@ DEFAULT_CHUNK = 16384
 # conservative concentration formula is used when it asks for fewer
 DEFAULT_FORMS_PER_VALUE = 128
 DEFAULT_WEIGHTED_FORMS_PER_ROW = 64
-DEFAULT_RANK_BOUND = 4
 
 Z_95 = 1.959963984540054  # two-sided 95% normal quantile
 
@@ -181,12 +179,6 @@ class WeightMatrix:
 
     def to_numpy(self) -> np.ndarray:
         return np.array([[float(v) for v in row] for row in self.entries])
-
-    def numerical_rank(self, tol: float = 1e-9) -> int:
-        s = np.linalg.svd(self.to_numpy(), compute_uv=False)
-        if s.size == 0 or s[0] == 0.0:
-            return 0
-        return int(np.sum(s > tol * s[0]))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, WeightMatrix):
@@ -491,14 +483,13 @@ def variance_ratio_report(
     margins: Margins,
     num_samples: int,
     seed: int,
-    chunk_size: int = DEFAULT_CHUNK,
 ) -> VarianceReport:
     """Empirical E[perm^2]/E[perm]^2 with the proven bounds.
 
     The general bound is 2^(2N).  The bounded-margin bound exp(rho^2 (2 rho)!)
     overflows floats beyond rho = 2 and is then reported by its exponent only.
     """
-    values = mc_sample_values(margins, num_samples, seed, chunk_size=chunk_size)
+    values = mc_sample_values(margins, num_samples, seed)
     if values.size < 2:
         raise ValidationError("need at least two samples")
     squares = values * values
@@ -538,9 +529,13 @@ def _check_epsilon(epsilon: float) -> None:
         raise ValidationError("epsilon must lie in (0, 1)")
 
 
-def _repeat_seeds(seed: int, repeats: int) -> List[int]:
+def _check_repeats(repeats: int) -> None:
     if repeats < 1:
         raise ValidationError("repeats must be at least 1")
+
+
+def _repeat_seeds(seed: int, repeats: int) -> List[int]:
+    _check_repeats(repeats)
     if repeats == 1:
         return [seed]
     return [derive_seed(seed, k) for k in range(repeats)]
@@ -641,7 +636,6 @@ def _lowrank(
     seed: int,
     repeats: int,
     form_count: int | None,
-    term_cap: int,
     exact_surrogate: bool,
     weights=None,
 ) -> LowRankResult:
@@ -651,7 +645,8 @@ def _lowrank(
     is its own family.  Family k of a repeat draws its forms from
     derive_seed(repeat seed, k).  The term count, the number of form
     multisets the product expands into times the admissible column vectors,
-    is fixed by the form counts alone and checked before any form is drawn.
+    is fixed by the form counts alone and checked against DEFAULT_TERM_CAP
+    before any form is drawn.
     """
     box = tuple(max(allowed, default=0) for allowed in column_sets)
     if weights is None:
@@ -673,11 +668,11 @@ def _lowrank(
         math.comb(m + mult - 1, mult) for m, (_, mult, _) in zip(form_counts, families) if m
     )
     vectors = _admissible_count(column_sets, sum(rows))
-    if vectors and per_vector > term_cap:
+    if vectors and per_vector > DEFAULT_TERM_CAP:
         raise TermBudgetError(
-            f"pairing needs {per_vector} terms, cap is {term_cap}; "
+            f"pairing needs {per_vector} terms, cap is {DEFAULT_TERM_CAP}; "
             "the cost grows as the product of per-value form-multiset counts",
-            limit=term_cap,
+            limit=DEFAULT_TERM_CAP,
         )
     sub_seeds = _repeat_seeds(seed, repeats)
     if exact_surrogate:
@@ -768,7 +763,6 @@ def lowrank_asymptotic_count(
     seed: int,
     repeats: int = 1,
     form_count: int | None = None,
-    term_cap: int = DEFAULT_TERM_CAP,
     exact_surrogate: bool = False,
 ) -> LowRankResult:
     """Approximate table count via low-rank complete symmetric polynomials.
@@ -782,7 +776,7 @@ def lowrank_asymptotic_count(
     _check_epsilon(epsilon)
     return _lowrank(
         "complete", margins.row_sums, _singletons(margins.col_sums), epsilon, seed,
-        repeats, form_count, term_cap, exact_surrogate,
+        repeats, form_count, exact_surrogate,
     )
 
 
@@ -792,7 +786,6 @@ def lowrank_01_count(
     seed: int,
     repeats: int = 1,
     form_count: int | None = None,
-    term_cap: int = DEFAULT_TERM_CAP,
     exact_surrogate: bool = False,
 ) -> LowRankResult:
     """Approximate 0-1 table count via low-rank elementary symmetric polynomials.
@@ -801,6 +794,7 @@ def lowrank_01_count(
     returned without sampling.
     """
     _check_epsilon(epsilon)
+    _check_repeats(repeats)
     if any(r > margins.num_cols for r in margins.row_sums):
         return LowRankResult(
             value=0.0,
@@ -813,7 +807,7 @@ def lowrank_01_count(
         )
     return _lowrank(
         "elementary", margins.row_sums, _singletons(margins.col_sums), epsilon, seed,
-        repeats, form_count, term_cap, exact_surrogate,
+        repeats, form_count, exact_surrogate,
     )
 
 
@@ -824,7 +818,6 @@ def lowrank_column_sets_count(
     seed: int,
     repeats: int = 1,
     form_count: int | None = None,
-    term_cap: int = DEFAULT_TERM_CAP,
     exact_surrogate: bool = False,
 ) -> LowRankResult:
     """Approximate number of tables whose column sums each lie in a given set.
@@ -846,9 +839,7 @@ def lowrank_column_sets_count(
         if any(v < 0 for v in values):
             raise ValidationError(f"column set {k} contains a negative sum")
         sets.append(frozenset(v for v in values if v <= n_total))
-    return _lowrank(
-        "complete", rows, sets, epsilon, seed, repeats, form_count, term_cap, exact_surrogate
-    )
+    return _lowrank("complete", rows, sets, epsilon, seed, repeats, form_count, exact_surrogate)
 
 
 def lowrank_weighted_count(
@@ -858,27 +849,22 @@ def lowrank_weighted_count(
     seed: int,
     repeats: int = 1,
     form_count: int | None = None,
-    term_cap: int = DEFAULT_TERM_CAP,
     exact_surrogate: bool = False,
-    rank_bound: int = DEFAULT_RANK_BOUND,
 ) -> LowRankResult:
     """Approximate weight-power sum over tables (the weighted mc_estimate_count target).
 
     Row i's forms carry coefficients w_ij times truncated exponential draws, so
     the pairing approximates sum over tables of prod w_ij^d_ij within the
-    (1 +/- eps)^N band.  The weight matrix must have small numerical rank; the
-    check guards the regime in which the low-rank guarantee is meaningful.
+    (1 +/- eps)^N band.  Neither the band nor the cost of the box dynamic
+    program depends on the rank of the weights, so any non-negative weights
+    are accepted.  Each row is its own family, of 64 forms by default, so the
+    term count passes DEFAULT_TERM_CAP from four rows on.
     """
     _check_weight_shape(margins, weights)
     _check_epsilon(epsilon)
-    rank = weights.numerical_rank()
-    if rank > rank_bound:
-        raise RankBoundError(
-            f"weight matrix rank {rank} exceeds bound {rank_bound}"
-        )
     return _lowrank(
         "complete", margins.row_sums, _singletons(margins.col_sums), epsilon, seed,
-        repeats, form_count, term_cap, exact_surrogate, weights=weights.entries,
+        repeats, form_count, exact_surrogate, weights=weights.entries,
     )
 
 

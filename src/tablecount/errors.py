@@ -2,8 +2,9 @@
 
 Validation errors mean the caller handed us something malformed (bad margins,
 mismatched dimensions).  Budget errors mean the input was well formed but the
-requested computation would exceed a configured resource cap; they carry the
-cap so callers can retry with a larger one.
+requested computation would exceed a resource limit; they carry the limit
+that was hit.  No command line flag sets a limit, so a budget error there is
+final for the input.
 """
 
 
@@ -20,7 +21,7 @@ class DimensionMismatchError(ValidationError):
 
 
 class BudgetError(TableCountError):
-    """A resource cap would be exceeded; enlarge the cap to proceed."""
+    """A resource limit would be exceeded; limit holds its value."""
 
     def __init__(self, message: str, limit: int | None = None):
         super().__init__(message)
@@ -28,7 +29,7 @@ class BudgetError(TableCountError):
 
 
 class TermBudgetError(BudgetError):
-    """A polynomial expansion would exceed the configured term cap."""
+    """A polynomial expansion or low-rank pairing would exceed its term cap."""
 
 
 class EnumerationBudgetError(BudgetError):
@@ -37,11 +38,7 @@ class EnumerationBudgetError(BudgetError):
 
 
 class PermanentSizeError(BudgetError):
-    """Matrix is larger than the configured exact-permanent size limit."""
-
-
-class RankBoundError(ValidationError):
-    """Numerical rank of a weight matrix exceeds the configured bound."""
+    """Matrix is larger than the exact-permanent size limit."""
 
 
 class SurjectionSamplingError(TableCountError):

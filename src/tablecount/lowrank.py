@@ -72,8 +72,8 @@ class TruncationSpec:
             )
 
 
-def solve_threshold(r: int, delta: float, resolution: float = 1e-6) -> TruncationSpec:
-    """Smallest kappa (to the given resolution) whose tail at degree r is <= delta.
+def solve_threshold(r: int, delta: float) -> TruncationSpec:
+    """Smallest kappa (to a resolution of 1e-6) whose tail at degree r is <= delta.
 
     The tail is strictly decreasing in kappa, so plain bisection applies.
     """
@@ -84,7 +84,7 @@ def solve_threshold(r: int, delta: float, resolution: float = 1e-6) -> Truncatio
     lo, hi = 0.0, 1.0
     while truncation_tail(hi, r) > delta:
         hi *= 2.0
-    while hi - lo > resolution:
+    while hi - lo > 1e-6:
         mid = (lo + hi) / 2.0
         if truncation_tail(mid, r) > delta:
             lo = mid
@@ -207,15 +207,15 @@ class ApproxSymmetricPoly:
         """(m, r, n) 0/1 floats: row b of group i is the indicator of block b."""
         return (self.forms[:, None, :] == np.arange(self.r)[:, None]).astype(np.float64)
 
-    def expand(self, term_cap: int = 10**7) -> SparsePolynomial:
+    def expand(self) -> SparsePolynomial:
         """Materialize the represented polynomial (small form counts only)."""
         acc = SparsePolynomial.zero(self.num_vars)
         if self.kind == "complete":
             for row in self.forms.tolist():
-                acc = acc.add(expand_form_power(LinearForm(row), self.r, term_cap=term_cap))
+                acc = acc.add(expand_form_power(LinearForm(row), self.r))
         else:
             for group in self._group_rows().tolist():
-                acc = acc.add(product_of_forms([LinearForm(f) for f in group], term_cap=term_cap))
+                acc = acc.add(product_of_forms([LinearForm(f) for f in group]))
         return acc.scale(self.scale)
 
     def to_json(self) -> str:
@@ -249,6 +249,10 @@ class ApproxSymmetricPoly:
         )
 
 
+# values drawn per block while building a complete-kind family
+_DRAW_CELLS = 1 << 16
+
+
 def _check_form_count(m: int, n: int) -> None:
     """A family of m forms over n variables draws m * n values, at most DRAW_BUDGET."""
     if m < 1:
@@ -266,7 +270,8 @@ def build_h_tilde(
 
     Form i's coefficients are the first n truncated draws of the child stream
     derive_seed(seed, i), so the family is reproducible and the rows can be
-    generated in any order or in parallel.
+    generated in any order or in parallel.  They are drawn in blocks of about
+    _DRAW_CELLS values, so the draw temporaries stay small beside the family.
     """
     if r < 1:
         raise ValidationError("r must be at least 1")
@@ -276,7 +281,11 @@ def build_h_tilde(
     _check_form_count(m, n)
     delta = 1.0 - math.sqrt(1.0 - epsilon)
     spec = solve_threshold(r, delta)
-    gamma = truncated_exponential_matrix(derive_seed_block(seed, m), n, spec.kappa)
+    gamma = np.empty((m, n))
+    step = max(1, _DRAW_CELLS // n)
+    for start in range(0, m, step):
+        seeds = derive_seed_block(seed, min(step, m - start), start)
+        gamma[start:start + len(seeds)] = truncated_exponential_matrix(seeds, n, spec.kappa)
     scale = 1.0 / (factorial(r) * m)
     return ApproxSymmetricPoly(
         kind="complete", r=r, num_vars=n, epsilon=epsilon, seed=seed, scale=scale, forms=gamma

@@ -29,18 +29,20 @@ def _as_rows(matrix) -> Sequence[Sequence[Coeff]]:
     return rows
 
 
-def permanent_exact(matrix, size_limit: int = DEFAULT_SIZE_LIMIT) -> Coeff:
+def permanent_exact(matrix) -> Coeff:
     """Permanent by Ryser inclusion-exclusion; exact for int/Fraction entries.
 
     Float entries are accumulated with Kahan compensation instead.  Runtime is
-    O(2^N * N); the size limit fails loudly before work starts.
+    O(2^N * N); N above DEFAULT_SIZE_LIMIT fails loudly before work starts.
     """
     rows = _as_rows(matrix)
     n = len(rows)
     if n == 0:
         return 1  # empty product over the empty permutation
-    if n > size_limit:
-        raise PermanentSizeError(f"matrix size {n} exceeds limit {size_limit}", limit=size_limit)
+    if n > DEFAULT_SIZE_LIMIT:
+        raise PermanentSizeError(
+            f"matrix size {n} exceeds limit {DEFAULT_SIZE_LIMIT}", limit=DEFAULT_SIZE_LIMIT
+        )
     exact = not any(isinstance(v, float) for row in rows for v in row)
 
     row_sums: List[Coeff] = [0] * n
@@ -119,8 +121,6 @@ def gram_matrix(F: Sequence[LinearForm], G: Sequence[LinearForm]) -> Tuple[Tuple
     return tuple(tuple(f.dot(g) for g in G) for f in F)
 
 
-def pairing_via_permanent(
-    F: Sequence[LinearForm], G: Sequence[LinearForm], size_limit: int = DEFAULT_SIZE_LIMIT
-) -> Coeff:
+def pairing_via_permanent(F: Sequence[LinearForm], G: Sequence[LinearForm]) -> Coeff:
     """Scalar product of two products of N forms, as the permanent of their Gram matrix."""
-    return permanent_exact(gram_matrix(F, G), size_limit=size_limit)
+    return permanent_exact(gram_matrix(F, G))

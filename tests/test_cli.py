@@ -66,12 +66,13 @@ def test_mismatched_margins_names_both_totals(capsys):
 
 
 def test_budget_error_exits_3(capsys):
-    code, out, err = run_cli(
-        capsys, "lowrank", "--rows", "4,4", "--cols", "4,4",
-        "--epsilon", "0.25", "--seed", "1", "--term-cap", "10",
-    )
+    # 128 forms for row value 2 taken thrice and for row value 1 taken twice
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "lowrank", "--rows", "2,2,2,1,1", "--cols", "2,2,2,2")
+    assert time.perf_counter() - start < 1.0
     assert code == 3
-    assert "error" in json.loads(err)
+    assert out == ""
+    assert json.loads(err)["error"].startswith("pairing needs 2953666560 terms, cap is 10000000")
 
 
 @pytest.mark.parametrize(
@@ -92,11 +93,16 @@ def test_oversized_draw_request_exits_3_at_once(capsys, argv):
 
 
 def test_perm_cap_flag_is_gone(capsys):
-    code, out, err = run_cli(
-        capsys, "estimate", "--rows", "2,2", "--cols", "2,2", "--perm-cap", "22", "--samples", "10"
-    )
-    assert code == 2
-    assert out == "" and "--perm-cap" in json.loads(err)["error"]
+    margins = ["--rows", "2,2", "--cols", "2,2"]
+    for argv in (
+        ["estimate", *margins, "--samples", "10", "--perm-cap", "22"],
+        *([command, *margins, "--term-cap", "10"] for command in ("lowrank", "lowrank01", "compare")),
+        ["lowrank-colsets", "--rows", "2,2", "--col-sets", "2;2", "--term-cap", "10"],
+        ["weighted", *margins, "--weights-file", "w.json", "--method", "lowrank", "--term-cap", "10"],
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == "" and argv[-2] in json.loads(err)["error"]
 
 
 def test_env_seed_used_only_without_flag(capsys, monkeypatch):
@@ -158,6 +164,16 @@ def test_margins_file_conflicts_with_inline(capsys, tmp_path):
 def test_missing_file_exits_2(capsys):
     code, out, err = run_cli(capsys, "count", "--margins-file", "/no/such/file.json")
     assert code == 2
+
+
+def test_unwritable_dump_path_exits_2(capsys, tmp_path):
+    path = tmp_path / "missing" / "p.txt"
+    code, out, err = run_cli(
+        capsys, "verify-coeffs", "--degree", "2", "--vars", "3", "--dump-poly", str(path)
+    )
+    assert code == 2
+    assert out == "" and err.count("\n") == 1
+    assert json.loads(err)["error"].startswith(f"cannot write {path}: ")
 
 
 @pytest.mark.parametrize(
@@ -344,6 +360,15 @@ def test_bekessy_log_value_past_float_range(capsys):
 def test_lowrank_single_column(capsys, argv):
     report = run_json(capsys, *argv)
     assert report["band_low"] <= report["value"] <= report["band_high"]  # exact count is 1
+
+
+@pytest.mark.parametrize("rows,cols", [("4", "2,2"), ("2,2", "2,2")])
+@pytest.mark.parametrize("repeats", ["0", "-1"])
+def test_lowrank01_rejects_repeats_below_one(capsys, rows, cols, repeats):
+    # (4)x(2,2) has no 0-1 filling and is answered without sampling
+    code, out, err = run_cli(capsys, "lowrank01", "--rows", rows, "--cols", cols, "--repeats", repeats)
+    assert code == 2
+    assert out == "" and json.loads(err)["error"] == "repeats must be at least 1"
 
 
 @pytest.mark.parametrize(

@@ -2,14 +2,15 @@ import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from tablecount.errors import (
     EnumerationBudgetError,
-    RankBoundError,
     TermBudgetError,
     ValidationError,
 )
+import tablecount.counting as counting
 from tablecount.counting import (
     Margins,
     WeightMatrix,
@@ -138,10 +139,15 @@ def test_form_counts_recorded():
     assert res.term_count > 0
 
 
-def test_term_cap_enforced():
+def test_term_cap_enforced(monkeypatch):
+    # one family of 5000 forms taken twice: C(5001, 2) form multisets
+    def no_draws(*args, **kwargs):
+        raise AssertionError("forms drawn before the term cap was checked")
+
+    monkeypatch.setattr(counting, "build_h_tilde", no_draws)
     m = Margins([2, 2], [2, 2])
-    with pytest.raises(TermBudgetError):
-        lowrank_asymptotic_count(m, epsilon=0.25, seed=0, form_count=40, term_cap=50)
+    with pytest.raises(TermBudgetError, match="pairing needs 12502500 terms, cap is 10000000"):
+        lowrank_asymptotic_count(m, epsilon=0.25, seed=0, form_count=5000)
 
 
 def test_box_dp_node_budget_fails_fast():
@@ -244,17 +250,24 @@ def test_weighted_unit_weights_equal_plain_count():
     assert res.value == 3
 
 
-def test_weighted_rank_bound_guard():
+@pytest.mark.parametrize("r,box,wrow", [(2, (2, 2, 2), (0.5, 3.0, 1.25)), (3, (3, 1), (2.0, 0.0))])
+def test_weighted_family_table_scales_unweighted_table(r, box, wrow):
+    # the weighted family scales the same forms column by column, so each
+    # coefficient of x^a gains exactly the factor prod_j w_j^a_j
+    plain = counting._family_table("complete", r, box, 0.3, 11, 20, None)
+    weighted = counting._family_table("complete", r, box, 0.3, 11, 20, wrow)
+    assert [a for a, _ in weighted] == [a for a, _ in plain]
+    for (a, coeff), (_, base) in zip(weighted, plain):
+        assert coeff == pytest.approx(base * math.prod(w**e for w, e in zip(wrow, a)), rel=1e-12)
+
+
+def test_weighted_full_rank_exact_surrogate_matches_bruteforce():
     m = Margins([2, 2, 2, 2, 2], [2, 2, 2, 2, 2])
-    w = WeightMatrix([[1 + 0.1 * i * j for j in range(5)] for i in range(5)])
-    # perturb to full rank 5
-    rows = [list(r) for r in w.entries]
-    for i in range(5):
-        rows[i][i] += 7.0 + i
-    full = WeightMatrix(rows)
-    assert full.numerical_rank() == 5
-    with pytest.raises(RankBoundError):
-        lowrank_weighted_count(m, full, epsilon=0.3, seed=0, rank_bound=4)
+    w = WeightMatrix([[1 + (i * j) % 3 + 5 * (i == j) for j in range(5)] for i in range(5)])
+    assert np.linalg.matrix_rank(w.to_numpy()) == 5
+    target = weighted_count_bruteforce(m, w, include_factorials=False)
+    res = lowrank_weighted_count(m, w, epsilon=0.3, seed=0, exact_surrogate=True)
+    assert res.value == target
 
 
 def test_weighted_sampled_near_target():

@@ -316,6 +316,24 @@ def test_elementary_coefficients_memory_is_bounded():
     assert peak < 64 * 2**20
 
 
+def test_h_tilde_memory_is_bounded():
+    # 200000 forms of 10 variables: the forms array is 80 bytes per form, and
+    # drawing it in one piece held about 178 bytes per form at the peak
+    m, n = 200000, 10
+    tracemalloc.start()
+    try:
+        approx = build_h_tilde(2, n, 0.3, 0, form_count=m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100 * m
+    # rows on both sides of a draw-block edge are their own child streams' draws
+    kappa = solve_threshold(2, 1.0 - math.sqrt(0.7)).kappa
+    for i in (0, 6552, 6553, 6554, m - 1):
+        row = SplitMix64Stream(derive_seed(0, i)).truncated_exponential(n, kappa)
+        assert np.array_equal(approx.forms[i], row)
+
+
 @pytest.mark.parametrize("build,r,n", [(build_h_tilde, 3, 4), (build_h_tilde, 2, 5), (build_e_tilde, 3, 6)])
 def test_expand_matches_approx_coefficients(build, r, n):
     approx = build(r, n, 0.3, seed=4, form_count=30)

@@ -66,7 +66,7 @@ def test_permanent_row_multilinearity():
 
 def test_permanent_size_limit():
     with pytest.raises(PermanentSizeError):
-        permanent_exact([[1] * 8] * 8, size_limit=7)
+        permanent_exact([[1] * 23] * 23)
 
 
 def test_permanent_rejects_ragged():

@@ -23,7 +23,7 @@ from typing import Any, Dict, List, Optional, Sequence
 import numpy as np
 
 from .errors import BudgetError, SurjectionSamplingError, TableCountError, ValidationError
-from .lowrank import approx_coefficients, build_e_tilde, build_h_tilde, verify_coefficients
+from .lowrank import _band_report, approx_coefficients, build_e_tilde, build_h_tilde, verify_coefficients
 from .polynomial import SparsePolynomial, poly_to_text
 from .counting import (
     Margins,
@@ -245,12 +245,15 @@ def _cmd_verify_coeffs(args: argparse.Namespace) -> Dict[str, Any]:
     seed = _resolve_seed(args)
     build = build_h_tilde if args.kind == "complete" else build_e_tilde
     approx = build(args.degree, args.vars, args.epsilon, seed)
-    rep = verify_coefficients(approx)
-    if args.dump_poly is not None:
+    if args.dump_poly is None:
+        rep = verify_coefficients(approx)
+    else:
+        # one coefficient pass feeds the band check and the dump
+        coefficients = dict(approx_coefficients(approx))
+        rep = _band_report(coefficients.items(), approx.r, approx.epsilon)
         try:
             with open(args.dump_poly, "w", encoding="utf-8") as handle:
-                poly = SparsePolynomial(approx.num_vars, dict(approx_coefficients(approx)))
-                handle.write(poly_to_text(poly))
+                handle.write(poly_to_text(SparsePolynomial(approx.num_vars, coefficients)))
         except OSError as exc:
             raise ValidationError(f"cannot write {args.dump_poly}: {exc.strerror or exc}")
     lo, hi = rep.band

@@ -9,7 +9,7 @@ Entry points by family:
   an exact product formula) and ``bekessy_estimate`` (asymptotic; its log is
   ``bekessy_log_estimate``).
 * weighted exact: ``weighted_fy_count`` sums prod w_ij^d_ij / d_ij! over tables
-  with the box dynamic program below, exactly for rational weights.
+  with the box dynamic program, exactly for rational weights.
 * Monte Carlo: ``mc_estimate_count`` averages exact permanents of random
   block matrices whose cells are i.i.d. standard exponentials; the expected
   permanent equals the count times the product of margin factorials.  Given
@@ -19,9 +19,10 @@ Entry points by family:
 * low-rank: ``lowrank_asymptotic_count`` and friends replace each row's
   symmetric polynomial by a small random family of linear forms and read the
   count off the coefficient of x^c (c = column sums) in the product of the
-  row factors, carrying a multiplicative (1 +/- eps)^N guarantee band.  One
-  dynamic program over the column sums used so far computes that coefficient
-  for every variant.
+  row factors, carrying a multiplicative (1 +/- eps)^N guarantee band.
+
+Weighted exact and every low-rank variant build row-factor tables here and
+read their coefficient off the engine ``polynomial.box_coefficient``.
 
 All randomized paths are deterministic functions of their seed: sample i uses
 the child seed derive_seed(seed, i), so chunked or parallel evaluation cannot
@@ -36,7 +37,8 @@ import numbers
 import statistics
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from operator import add, contains, le, sub
+from functools import partial
+from operator import sub
 from typing import Dict, Iterator, List, Sequence, Tuple
 
 import numpy as np
@@ -57,11 +59,11 @@ from .lowrank import (
 )
 from .permanent import DEFAULT_SIZE_LIMIT, permanent_float_batch
 from .polynomial import (
-    DEFAULT_ENUMERATION_BUDGET,
     DEFAULT_TERM_CAP,
     Coeff,
+    box_coefficient,
+    box_work,
     bounded_compositions,
-    composition_count,
     factorial,
     monomials,
     parse_coeff,
@@ -69,9 +71,6 @@ from .polynomial import (
 from .rng import DRAW_BUDGET, derive_seed, derive_seed_block, exponential_matrix
 
 DEFAULT_NODE_BUDGET = 10**7
-# above the 92,275,150 steps the weighted exact count takes on 22 unit
-# rows and columns, the costliest margins with N <= 22
-WEIGHTED_NODE_BUDGET = 10**8
 DEFAULT_CHUNK = 16384
 # sampled forms per distinct margin value in the counting pipelines; the
 # conservative concentration formula is used when it asks for fewer
@@ -534,13 +533,6 @@ def _check_repeats(repeats: int) -> None:
         raise ValidationError("repeats must be at least 1")
 
 
-def _repeat_seeds(seed: int, repeats: int) -> List[int]:
-    _check_repeats(repeats)
-    if repeats == 1:
-        return [seed]
-    return [derive_seed(seed, k) for k in range(repeats)]
-
-
 def _exact_table(r: int, bounds: Sequence[int], wrow=None, scaled: bool = False):
     """(a, prod_j f_j(a_j)) for every exponent vector a of degree r inside bounds.
 
@@ -568,51 +560,22 @@ def _exact_table(r: int, bounds: Sequence[int], wrow=None, scaled: bool = False)
 
 def _family_table(kind: str, r: int, box: Sequence[int], epsilon: float, seed: int, forms: int,
                   wrow):
-    """(a, [x^a] factor) pairs of one row factor over the column variables.
+    """(a, [x^a] factor) pairs of one row factor over the column variables,
+    for a inside box; an elementary box lies within (1, ..., 1).
 
     With forms > 0 the factor is the sampled family drawn from seed: h~_r, or
     e~_r for kind "elementary"; a weight row scales each form's coefficients.
-    With forms == 0 it is the exact polynomial, times prod w^a for a weight row,
-    listed only inside the column box.
+    With forms == 0 it is the exact polynomial, times prod w^a for a weight row.
     """
     n = len(box)
     if not forms:
-        if kind == "elementary":
-            box = tuple(min(b, 1) for b in box)
         return _exact_table(r, box, wrow)
     if kind == "elementary":
-        return approx_coefficients(build_e_tilde(r, n, epsilon, seed, form_count=forms))
+        return approx_coefficients(build_e_tilde(r, n, epsilon, seed, form_count=forms), box=box)
     approx = build_h_tilde(r, n, epsilon, seed, form_count=forms)
     if wrow is not None:
         approx = replace(approx, forms=approx.forms * np.array([float(w) for w in wrow]))
-    return approx_coefficients(approx)
-
-
-def _box_coefficient(tables, column_sets: Sequence[frozenset], node_budget: int = DEFAULT_NODE_BUDGET):
-    """Sum over end vectors v with v_j in column_sets[j] of [x^v] prod factor^mult.
-
-    tables holds one ((a, coefficient) pairs, mult) per factor family.  The
-    state is the vector of column sums used so far, kept inside the box
-    0 <= v_j <= max(column_sets[j]); every term is non-negative, so nothing
-    cancels.  Plain dict arithmetic keeps int and Fraction coefficients exact.
-    Each row step charges its transitions to the node budget before it runs,
-    so an oversized input fails before it allocates the next state map.
-    """
-    budget = _NodeBudget(node_budget)
-    bound = tuple(max(allowed, default=0) for allowed in column_sets)
-    states = {(0,) * len(bound): 1}
-    for table, mult in tables:
-        table = [(a, coeff) for a, coeff in table if coeff and all(map(le, a, bound))]
-        for _ in range(mult):
-            budget.spend(len(states) * len(table))
-            nxt: Dict[Tuple[int, ...], Coeff] = {}
-            for used, value in states.items():
-                for a, coeff in table:
-                    key = tuple(map(add, used, a))
-                    if all(map(le, key, bound)):
-                        nxt[key] = nxt.get(key, 0) + value * coeff
-            states = nxt
-    return sum(value for v, value in states.items() if all(map(contains, column_sets, v)))
+    return approx_coefficients(approx, box=box)
 
 
 def _admissible_count(column_sets: Sequence[frozenset], n_total: int) -> int:
@@ -646,9 +609,12 @@ def _lowrank(
     derive_seed(repeat seed, k).  The term count, the number of form
     multisets the product expands into times the admissible column vectors,
     is fixed by the form counts alone and checked against DEFAULT_TERM_CAP
-    before any form is drawn.
+    before any form is drawn; then the draws of every repeat are checked
+    against DRAW_BUDGET before any repeat seed is derived.  Sampled families
+    list their coefficients only inside the column box.
     """
     box = tuple(max(allowed, default=0) for allowed in column_sets)
+    table_box = tuple(min(b, 1) for b in box) if kind == "elementary" else box
     if weights is None:
         families = [(r, rows.count(r), None) for r in sorted(set(rows))]
         cap = DEFAULT_FORMS_PER_VALUE
@@ -674,16 +640,25 @@ def _lowrank(
             "the cost grows as the product of per-value form-multiset counts",
             limit=DEFAULT_TERM_CAP,
         )
-    sub_seeds = _repeat_seeds(seed, repeats)
-    if exact_surrogate:
-        sub_seeds = sub_seeds[:1]  # the exact polynomials do not depend on the seed
+    _check_repeats(repeats)
+    # the exact polynomials do not depend on the seed, so one repeat serves
+    runs = repeats if any(form_counts) else 1
+    forms = sum(form_counts)
+    if runs * forms * len(box) > DRAW_BUDGET:
+        raise EnumerationBudgetError(
+            f"{runs} repeats of {forms} forms of {len(box)} variables exceed the draw budget "
+            f"{DRAW_BUDGET}",
+            limit=DRAW_BUDGET,
+        )
+    sub_seeds = [seed] if runs == 1 else derive_seed_block(seed, runs).tolist()
     values = []
     for sub_seed in sub_seeds:
-        tables = [
-            (_family_table(kind, r, box, epsilon, derive_seed(sub_seed, k), m, wrow), mult)
+        factors = [
+            (r, mult, table_box,
+             partial(_family_table, kind, r, table_box, epsilon, derive_seed(sub_seed, k), m, wrow))
             for k, ((r, mult, wrow), m) in enumerate(zip(families, form_counts))
         ]
-        value = _box_coefficient(tables, column_sets)
+        value = box_coefficient(factors, column_sets)
         values.append(value if exact_surrogate else float(value))
     return LowRankResult(
         value=statistics.median(values),
@@ -700,27 +675,6 @@ def _singletons(col_sums: Sequence[int]) -> List[frozenset]:
     return [frozenset((c,)) for c in col_sums]
 
 
-def _box_work(rows: Sequence[int], box: Sequence[int]):
-    """Steps of the weighted box dynamic program, rows taken in order.
-
-    A row's transitions are its states, all vectors of the degree used so far
-    inside the box (fewer when a coefficient is zero), times its table, all
-    vectors of its degree.  Its factor j lists w^e / e! for e up to
-    m = min(box_j, r); exact factors grow by about a digit a step, so that
-    list counts m(m+1)/2 steps.  inf when a state map would pass
-    DEFAULT_NODE_BUDGET states or a table the monomial budget.
-    """
-    used = work = 0
-    for r in rows:
-        states = composition_count(used, box, DEFAULT_NODE_BUDGET)
-        table = composition_count(r, box, DEFAULT_ENUMERATION_BUDGET)
-        if states > DEFAULT_NODE_BUDGET or table > DEFAULT_ENUMERATION_BUDGET:
-            return math.inf
-        work += states * table + sum(m * (m + 1) // 2 for m in (min(b, r) for b in box))
-        used += r
-    return work
-
-
 def weighted_fy_count(margins: Margins, weights: WeightMatrix):
     """Sum over tables of prod w_ij^d_ij / d_ij!: the coefficient of x^c in
     prod_i (w_i . x)^{r_i} / r_i!.
@@ -732,8 +686,7 @@ def weighted_fy_count(margins: Margins, weights: WeightMatrix):
 
     The sum is unchanged by transposing margins and weights or by reordering
     rows.  The program takes the rows largest first, over the rows or the
-    columns, whichever needs fewer steps; the steps are counted and checked
-    against WEIGHTED_NODE_BUDGET before any table is built.
+    columns, whichever box_work counts fewer steps for.
     """
     _check_weight_shape(margins, weights)
     exact = weights.is_exact()
@@ -744,16 +697,11 @@ def weighted_fy_count(margins: Margins, weights: WeightMatrix):
     for rows, cols, wrows in ((margins.row_sums, margins.col_sums, entries),
                               (margins.col_sums, margins.row_sums, list(zip(*entries)))):
         order = sorted(range(len(rows)), key=lambda i: -rows[i])
-        rows = [rows[i] for i in order]
-        work = _box_work(rows, cols)
-        sides.append((work, rows, cols, [wrows[i] for i in order]))
-    work, rows, cols, wrows = min(sides, key=lambda side: side[0])
-    if work > WEIGHTED_NODE_BUDGET:
-        raise EnumerationBudgetError(
-            f"enumeration would exceed {WEIGHTED_NODE_BUDGET} nodes", limit=WEIGHTED_NODE_BUDGET
-        )
-    tables = ((_exact_table(r, cols, wrow, scaled=True), 1) for r, wrow in zip(rows, wrows))
-    value = _box_coefficient(tables, _singletons(cols), WEIGHTED_NODE_BUDGET)
+        factors = [(rows[i], 1, cols, partial(_exact_table, rows[i], cols, wrows[i], scaled=True))
+                   for i in order]
+        sides.append((box_work(cols, factors), cols, factors))
+    _, cols, factors = min(sides, key=lambda side: side[0])
+    value = box_coefficient(factors, _singletons(cols))
     return Fraction(value) if exact else float(value)
 
 

@@ -34,7 +34,8 @@ class TermBudgetError(BudgetError):
 
 class EnumerationBudgetError(BudgetError):
     """An exact enumeration (tables, monomials) would exceed its node budget,
-    or a random draw request the draw budget."""
+    the box dynamic program its step budget, or a random draw request the draw
+    budget.  The box steps are counted before any table is built."""
 
 
 class PermanentSizeError(BudgetError):

@@ -354,17 +354,24 @@ class CoefficientReport:
 
 
 def approx_coefficients(
-    approx: ApproxSymmetricPoly, budget: int = DEFAULT_ENUMERATION_BUDGET
+    approx: ApproxSymmetricPoly,
+    budget: int = DEFAULT_ENUMERATION_BUDGET,
+    box: Sequence[int] | None = None,
 ):
-    """Yield (exponent vector, coefficient) for every target monomial.
+    """Yield (exponent vector, coefficient) for every target monomial inside box.
 
-    Complete kind: all degree-r monomials, coefficient computed vectorized
-    across forms.  Elementary kind: all square-free degree-r monomials via
-    bijectivity counts of the stored surjections.
+    Complete kind: degree-r monomials, coefficient computed vectorized across
+    forms.  Elementary kind: square-free degree-r monomials via bijectivity
+    counts of the stored surjections.  box bounds the exponents; by default it
+    is (r, ..., r) or (1, ..., 1), every target monomial, and an elementary box
+    lies within (1, ..., 1).  A smaller box yields a subsequence of the same
+    pairs.
     """
     n, r = approx.num_vars, approx.r
+    if box is None:
+        box = (r if approx.kind == "complete" else 1,) * n
+    expos = monomials(r, box, budget)
     if approx.kind == "complete":
-        expos = monomials(r, (r,) * n, budget)
         gamma = approx.forms
         m = gamma.shape[0]
         for expo in expos:
@@ -378,7 +385,6 @@ def approx_coefficients(
             coeff = approx.scale * factorial(r) / weight * float(np.sum(inner))
             yield expo, coeff
     else:
-        expos = monomials(r, (1,) * n, budget)
         # surjection i hits x_S when the blocks of S's r variables are all
         # distinct, that is when the OR of their block bits is all r bits;
         # past 64 blocks the bits are Python ints

@@ -1,21 +1,21 @@
 """Exact permanents and the Gram matrix construction built on them.
 
-The permanent is evaluated by Ryser's inclusion-exclusion over column subsets,
-walking subsets in Gray-code order so each step updates one column of running
-row sums.  Exact (int/Fraction) entries take an exact arithmetic path; float
-entries take a compensated-summation path.  A vectorized batch variant
-evaluates many same-size float matrices at once for sampling loops; its
-per-matrix results do not depend on how the batch is chunked.
+An exact permanent is one coefficient of a product of row factors, so the
+box dynamic program of the polynomial module evaluates it, exactly for
+int/Fraction entries.  A vectorized batch variant evaluates many same-size
+float matrices at once for sampling loops by Ryser's inclusion-exclusion over
+column subsets in Gray-code order; its per-matrix results do not depend on
+how the batch is chunked.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
 from .errors import DimensionMismatchError, PermanentSizeError, ValidationError
-from .polynomial import Coeff, LinearForm
+from .polynomial import Coeff, LinearForm, box_coefficient
 
 DEFAULT_SIZE_LIMIT = 22
 
@@ -30,50 +30,23 @@ def _as_rows(matrix) -> Sequence[Sequence[Coeff]]:
 
 
 def permanent_exact(matrix) -> Coeff:
-    """Permanent by Ryser inclusion-exclusion; exact for int/Fraction entries.
+    """Permanent as the coefficient of x_1 ... x_N in prod_i (sum_j M_ij x_j).
 
-    Float entries are accumulated with Kahan compensation instead.  Runtime is
-    O(2^N * N); N above DEFAULT_SIZE_LIMIT fails loudly before work starts.
+    The box dynamic program over unit margins computes it: row i's table pairs
+    the unit vector e_j with M_ij, and a state is the set of columns used so
+    far.  Exact for int/Fraction entries; float sums of non-negative entries
+    do not cancel.  O(2^N * N) steps; N above DEFAULT_SIZE_LIMIT fails loudly
+    before work starts.
     """
     rows = _as_rows(matrix)
     n = len(rows)
-    if n == 0:
-        return 1  # empty product over the empty permutation
     if n > DEFAULT_SIZE_LIMIT:
         raise PermanentSizeError(
             f"matrix size {n} exceeds limit {DEFAULT_SIZE_LIMIT}", limit=DEFAULT_SIZE_LIMIT
         )
-    exact = not any(isinstance(v, float) for row in rows for v in row)
-
-    row_sums: List[Coeff] = [0] * n
-    total: Coeff = 0
-    comp = 0.0  # Kahan carry, float path only
-    popcount = 0
-    gray = 0
-    for g in range(1, 1 << n):
-        flip = (g & -g).bit_length() - 1
-        gray ^= 1 << flip
-        if gray & (1 << flip):
-            popcount += 1
-            for i in range(n):
-                row_sums[i] += rows[i][flip]
-        else:
-            popcount -= 1
-            for i in range(n):
-                row_sums[i] -= rows[i][flip]
-        prod: Coeff = 1
-        for v in row_sums:
-            prod *= v
-        signed = prod if popcount % 2 == 0 else -prod
-        if exact:
-            total += signed
-        else:
-            # Kahan compensated accumulation
-            y = signed - comp
-            t = total + y
-            comp = (t - total) - y
-            total = t
-    return total if n % 2 == 0 else -total
+    units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+    factors = [(1, 1, (1,) * n, lambda row=row: zip(units, row)) for row in rows]
+    return box_coefficient(factors, [frozenset((1,))] * n)
 
 
 def permanent_float_batch(matrices: np.ndarray) -> np.ndarray:

@@ -7,6 +7,11 @@ factorials of its exponents.
 Coefficients are dual-mode: ``int``/``Fraction`` for exact identities, plain
 floats for randomized estimates.  Mixing exact and float operands silently
 degrades to float, which is the intended behaviour.
+
+``box_coefficient`` reads one coefficient of a product of factors, each given
+as a table of its own coefficients, without expanding the product.  Exact
+permanents, weighted exact counts and every low-rank count use it, and one
+step budget, ``BOX_STEP_BUDGET``, bounds them all.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import comb, prod
+from operator import add, contains, le
 from typing import Dict, Iterable, Iterator, List, Sequence, Tuple, Union
 
 import numpy as np
@@ -25,6 +31,9 @@ Coeff = Union[int, Fraction, float]
 
 DEFAULT_TERM_CAP = 10**7
 DEFAULT_ENUMERATION_BUDGET = 2 * 10**6
+# steps one box dynamic program may take: above the 92,275,150 steps of 22
+# unit rows and columns, the costliest margins with N <= 22
+BOX_STEP_BUDGET = 10**8
 
 # factorials, extended on demand; index == argument
 _FACTORIALS: List[int] = [1]
@@ -150,6 +159,58 @@ def monomials(
             f"degree-{r} monomials exceed budget {budget}", limit=budget
         )
     return bounded_compositions(r, bounds)
+
+
+def box_work(bound: Sequence[int], factors: Sequence[tuple]) -> int:
+    """Steps box_coefficient takes over factors with its states inside bound,
+    or a number past BOX_STEP_BUDGET as soon as the count passes it.
+
+    A step of the product takes its states, at most the vectors of the degree
+    used so far inside bound, times its table, at most the vectors of degree
+    r inside the table box.  A table may hold products of factors f_j(e) for
+    e up to m = min(box_j, r); exact ones grow by about a digit a step, so
+    building each table counts m(m+1)/2 steps per coordinate.
+    """
+    used = work = 0
+    for r, mult, box, _ in factors:
+        table = composition_count(r, box, BOX_STEP_BUDGET)
+        work += sum(m * (m + 1) // 2 for m in (min(b, r) for b in box))
+        for _ in range(mult):
+            work += composition_count(used, bound, BOX_STEP_BUDGET) * table
+            used += r
+            if work > BOX_STEP_BUDGET:
+                return work
+    return work
+
+
+def box_coefficient(factors: Sequence[tuple], column_sets: Sequence[frozenset]) -> Coeff:
+    """Sum over end vectors v with v_j in column_sets[j] of [x^v] prod factor^mult.
+
+    Each factor is (degree r, mult, table box, build), and build() returns its
+    (a, coefficient) pairs, a of degree r inside the table box.  A dynamic
+    program over the column sums used so far (after Gail and Mantel) keeps
+    its states inside the box 0 <= v_j <= max(column_sets[j]).  Its steps are
+    counted with box_work first: past BOX_STEP_BUDGET it raises before any
+    builder runs.  Plain dict arithmetic keeps int and Fraction coefficients
+    exact; with non-negative coefficients nothing cancels.
+    """
+    bound = tuple(max(allowed, default=0) for allowed in column_sets)
+    if box_work(bound, factors) > BOX_STEP_BUDGET:
+        raise EnumerationBudgetError(
+            f"enumeration would exceed {BOX_STEP_BUDGET} nodes", limit=BOX_STEP_BUDGET
+        )
+    states: Dict[Exponent, Coeff] = {(0,) * len(bound): 1}
+    for _, mult, _, build in factors:
+        table = [(a, coeff) for a, coeff in build() if coeff]
+        for _ in range(mult):
+            nxt: Dict[Exponent, Coeff] = {}
+            for used, value in states.items():
+                for a, coeff in table:
+                    key = tuple(map(add, used, a))
+                    if all(map(le, key, bound)):
+                        nxt[key] = nxt.get(key, 0) + value * coeff
+            states = nxt
+    return sum(value for v, value in states.items() if all(map(contains, column_sets, v)))
 
 
 class SparsePolynomial:

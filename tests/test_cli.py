@@ -5,8 +5,10 @@ from fractions import Fraction
 
 import pytest
 
+import tablecount.cli as cli
+import tablecount.lowrank as lowrank
 from tablecount.cli import DEFAULT_SEED, build_parser, main
-from tablecount.lowrank import build_e_tilde, build_h_tilde
+from tablecount.lowrank import approx_coefficients, build_e_tilde, build_h_tilde
 from tablecount.polynomial import poly_from_text, poly_to_text
 
 
@@ -73,6 +75,25 @@ def test_budget_error_exits_3(capsys):
     assert code == 3
     assert out == ""
     assert json.loads(err)["error"].startswith("pairing needs 2953666560 terms, cap is 10000000")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # 12870 monomials per row: 165.6 million box steps, counted before any table
+        (["lowrank", "--rows", "8,8", "--cols", ",".join(["1"] * 16)],
+         "enumeration would exceed 100000000 nodes"),
+        # a billion repeats of one family: charged before any repeat seed is derived
+        (["lowrank", "--rows", "1", "--cols", "1", "--repeats", "1000000000"], "draw budget"),
+    ],
+)
+def test_lowrank_budget_exits_3_at_once(capsys, argv, message):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert out == "" and err.count("\n") == 1
+    assert message in json.loads(err)["error"]
 
 
 @pytest.mark.parametrize(
@@ -278,6 +299,24 @@ def test_verify_coeffs_dump_poly(capsys, tmp_path):
         parts = line.split()
         assert len(parts) == 5  # coeff + one exponent per variable
         assert sum(int(p) for p in parts[1:]) == 2
+
+
+def test_dump_poly_takes_one_coefficient_pass(capsys, tmp_path, monkeypatch):
+    passes = []
+
+    def counted(approx, *args, **kwargs):
+        passes.append(approx.kind)
+        return approx_coefficients(approx, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "approx_coefficients", counted)
+    monkeypatch.setattr(lowrank, "approx_coefficients", counted)
+    path = tmp_path / "poly.txt"
+    report = run_json(
+        capsys, "verify-coeffs", "--kind", "complete", "--degree", "2", "--vars", "4",
+        "--epsilon", "0.5", "--seed", "9", "--dump-poly", str(path),
+    )
+    assert passes == ["complete"]
+    assert len(path.read_text().splitlines()) == report["checked"] == 10
 
 
 @pytest.mark.parametrize("kind,degree,nvars,epsilon", [("complete", 2, 3, 0.7), ("elementary", 2, 5, 0.3)])

@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -24,6 +25,7 @@ from tablecount.counting import (
     weighted_count_bruteforce,
 )
 from tablecount.lowrank import build_e_tilde, build_h_tilde
+from tablecount.polynomial import bounded_compositions
 from tablecount.rng import derive_seed
 
 
@@ -155,6 +157,39 @@ def test_box_dp_node_budget_fails_fast():
     m = Margins([10] * 10, [10] * 10)
     with pytest.raises(EnumerationBudgetError):
         lowrank_asymptotic_count(m, epsilon=0.2, seed=0, exact_surrogate=True)
+
+
+def test_box_dp_budget_checked_before_tables(monkeypatch):
+    # 364 monomials per row over twelve rows: about 2.0e9 box steps
+    def no_tables(*args, **kwargs):
+        raise AssertionError("a table was built before the step budget was checked")
+
+    monkeypatch.setattr(counting, "build_h_tilde", no_tables)
+    monkeypatch.setattr(counting, "_exact_table", no_tables)
+    m = Margins([3] * 12, [3] * 12)
+    start = time.perf_counter()
+    with pytest.raises(EnumerationBudgetError):
+        lowrank_asymptotic_count(m, epsilon=0.2, seed=0, exact_surrogate=True)
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize(
+    "kind, r, box, wrow",
+    [("complete", 3, (1, 2, 0, 3), None), ("complete", 3, (1, 2, 0, 3), (0.5, 2, 1, 1.5)),
+     ("elementary", 2, (1, 1, 0, 1, 1), None)],
+)
+def test_family_table_lists_only_the_column_box(kind, r, box, wrow):
+    table = list(counting._family_table(kind, r, box, 0.3, 5, 7, wrow))
+    assert [a for a, _ in table] == list(bounded_compositions(r, box))
+    assert all(coeff > 0 for _, coeff in table)
+
+
+def test_repeats_charged_to_draw_budget():
+    m = Margins([1], [1])
+    with pytest.raises(EnumerationBudgetError, match="draw budget"):
+        lowrank_asymptotic_count(m, epsilon=0.2, seed=0, repeats=10**9)
+    # an exact surrogate computes one repeat, whatever the count
+    assert lowrank_asymptotic_count(m, epsilon=0.2, seed=0, repeats=10**9, exact_surrogate=True).value == 1
 
 
 def test_lowrank_determinism():

@@ -80,6 +80,14 @@ def test_permanent_float_path_close_to_exact():
     assert permanent_exact(rows) == pytest.approx(float(exact), rel=1e-12)
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_permanent_exact_float_error_on_positive_matrix(seed):
+    # no signed sum, so a positive float matrix keeps nearly every digit
+    rows = np.random.default_rng(seed).uniform(0.1, 2.0, size=(12, 12)).tolist()
+    exact = permanent_exact([[Fraction(v) for v in row] for row in rows])
+    assert abs(permanent_exact(rows) - exact) <= 1e-14 * exact
+
+
 def test_permanent_float_batch_matches_scalar():
     rng = np.random.default_rng(4)
     batch = rng.uniform(0.1, 2.0, size=(20, 5, 5))

@@ -528,9 +528,11 @@ def _check_epsilon(epsilon: float) -> None:
         raise ValidationError("epsilon must lie in (0, 1)")
 
 
-def _check_repeats(repeats: int) -> None:
+def _check_counts(repeats: int, form_count: int | None) -> None:
     if repeats < 1:
         raise ValidationError("repeats must be at least 1")
+    if form_count is not None and form_count < 1:
+        raise ValidationError("form count must be positive")
 
 
 def _exact_table(r: int, bounds: Sequence[int], wrow=None, scaled: bool = False):
@@ -613,6 +615,7 @@ def _lowrank(
     against DRAW_BUDGET before any repeat seed is derived.  Sampled families
     list their coefficients only inside the column box.
     """
+    _check_counts(repeats, form_count)
     box = tuple(max(allowed, default=0) for allowed in column_sets)
     table_box = tuple(min(b, 1) for b in box) if kind == "elementary" else box
     if weights is None:
@@ -640,7 +643,6 @@ def _lowrank(
             "the cost grows as the product of per-value form-multiset counts",
             limit=DEFAULT_TERM_CAP,
         )
-    _check_repeats(repeats)
     # the exact polynomials do not depend on the seed, so one repeat serves
     runs = repeats if any(form_counts) else 1
     forms = sum(form_counts)
@@ -742,7 +744,7 @@ def lowrank_01_count(
     returned without sampling.
     """
     _check_epsilon(epsilon)
-    _check_repeats(repeats)
+    _check_counts(repeats, form_count)
     if any(r > margins.num_cols for r in margins.row_sums):
         return LowRankResult(
             value=0.0,

@@ -2,10 +2,10 @@
 
 An exact permanent is one coefficient of a product of row factors, so the
 box dynamic program of the polynomial module evaluates it, exactly for
-int/Fraction entries.  A vectorized batch variant evaluates many same-size
-float matrices at once for sampling loops by Ryser's inclusion-exclusion over
-column subsets in Gray-code order; its per-matrix results do not depend on
-how the batch is chunked.
+int/Fraction entries.  A batch variant evaluates many same-size float
+matrices at once for sampling loops by Ryser's inclusion-exclusion over
+column subsets in Gray-code order, with the batch on the last, contiguous
+axis; its per-matrix results do not depend on how the batch is chunked.
 """
 
 from __future__ import annotations
@@ -20,15 +20,6 @@ from .polynomial import Coeff, LinearForm, box_coefficient
 DEFAULT_SIZE_LIMIT = 22
 
 
-def _as_rows(matrix) -> Sequence[Sequence[Coeff]]:
-    rows = [tuple(row) for row in matrix]
-    n = len(rows)
-    for row in rows:
-        if len(row) != n:
-            raise ValidationError("matrix is not square")
-    return rows
-
-
 def permanent_exact(matrix) -> Coeff:
     """Permanent as the coefficient of x_1 ... x_N in prod_i (sum_j M_ij x_j).
 
@@ -38,8 +29,10 @@ def permanent_exact(matrix) -> Coeff:
     do not cancel.  O(2^N * N) steps; N above DEFAULT_SIZE_LIMIT fails loudly
     before work starts.
     """
-    rows = _as_rows(matrix)
+    rows = [tuple(row) for row in matrix]
     n = len(rows)
+    if any(len(row) != n for row in rows):
+        raise ValidationError("matrix is not square")
     if n > DEFAULT_SIZE_LIMIT:
         raise PermanentSizeError(
             f"matrix size {n} exceeds limit {DEFAULT_SIZE_LIMIT}", limit=DEFAULT_SIZE_LIMIT
@@ -53,8 +46,13 @@ def permanent_float_batch(matrices: np.ndarray) -> np.ndarray:
     """Permanents of a (B, N, N) float array, one value per matrix, for N up
     to DEFAULT_SIZE_LIMIT.
 
-    Subset enumeration order is fixed, so each matrix's value is independent
-    of the batch it arrives in.
+    The input is read in (column, row, batch) order, copied once unless that
+    view is already contiguous.  Each Gray-code step adds or subtracts one
+    (N, B) column slab to the row sums and takes their product over the rows
+    with one reduce along axis 0: per matrix, the arithmetic of a row-major
+    loop in its order.  Row sums gain one column at a time, the product runs
+    left to right and the signed products accumulate in Gray-code order, so
+    values are bit-identical to that loop's and do not depend on the batch.
     """
     arr = np.asarray(matrices, dtype=np.float64)
     if arr.ndim != 3 or arr.shape[1] != arr.shape[2]:
@@ -66,21 +64,21 @@ def permanent_float_batch(matrices: np.ndarray) -> np.ndarray:
         )
     if n == 0:
         return np.ones(b)
-    row_sums = np.zeros((b, n))
+    cols = np.ascontiguousarray(arr.transpose(2, 1, 0))
+    row_sums = np.zeros((n, b))
+    prod = np.empty(b)
     total = np.zeros(b)
     gray = 0
-    popcount = 0
     for g in range(1, 1 << n):
         flip = (g & -g).bit_length() - 1
         gray ^= 1 << flip
         if gray & (1 << flip):
-            popcount += 1
-            row_sums += arr[:, :, flip]
+            row_sums += cols[flip]
         else:
-            popcount -= 1
-            row_sums -= arr[:, :, flip]
-        prod = np.prod(row_sums, axis=1)
-        if popcount % 2 == 0:
+            row_sums -= cols[flip]
+        np.multiply.reduce(row_sums, axis=0, out=prod)
+        # each step changes the subset size by one, so its parity is g's
+        if g % 2 == 0:
             total += prod
         else:
             total -= prod

@@ -123,6 +123,24 @@ def test_sampled_value_lands_in_guarantee_band_often():
     assert hits >= 7
 
 
+FORM_COUNT_CALLS = {
+    "complete": lambda fc: lowrank_asymptotic_count(Margins([2, 2], [2, 2]), 0.2, 0, form_count=fc),
+    "elementary": lambda fc: lowrank_01_count(Margins([2, 2], [2, 2]), 0.2, 0, form_count=fc),
+    "elementary-infeasible": lambda fc: lowrank_01_count(Margins([3, 1], [2, 2]), 0.2, 0, form_count=fc),
+    "column-sets": lambda fc: lowrank_column_sets_count([2, 2], [[2], [2]], 0.2, 0, form_count=fc),
+    "weighted": lambda fc: lowrank_weighted_count(
+        Margins([2, 2], [2, 2]), WeightMatrix([[1, 1], [1, 1]]), 0.2, 0, form_count=fc
+    ),
+}
+
+
+@pytest.mark.parametrize("form_count", [0, -1])
+@pytest.mark.parametrize("call", FORM_COUNT_CALLS.values(), ids=list(FORM_COUNT_CALLS))
+def test_form_count_below_one_rejected(call, form_count):
+    with pytest.raises(ValidationError, match="form count must be positive"):
+        call(form_count)
+
+
 def test_repeats_take_median():
     m = Margins([2, 2], [2, 2])
     singles = [

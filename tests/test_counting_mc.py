@@ -78,6 +78,19 @@ def test_estimate_memory_per_sample_is_bounded():
     assert peak <= 20 * samples
 
 
+def test_sample_values_memory_is_bounded():
+    # one chunk of 8x8 blocks is 8 MiB; the gathered blocks already lie in the
+    # kernel's (column, row, batch) order, so it copies nothing, and a second
+    # block array alive at the peak would pass 16 MiB
+    tracemalloc.start()
+    try:
+        mc_sample_values(Margins([4, 4], [2, 2, 2, 2]), 16384, 11)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2**20
+
+
 def test_estimate_ci_contains_truth():
     m = Margins([2, 2, 2], [2, 2, 2])
     est = mc_estimate_count(m, 40000, seed=3)

@@ -104,6 +104,40 @@ def test_permanent_float_batch_chunk_invariance():
     assert np.array_equal(whole, parts)
 
 
+def ryser_row_major(batch):
+    """Gray-code Ryser over (B, N) row sums, each product taken left to right."""
+    b, n = batch.shape[0], batch.shape[1]
+    row_sums = np.zeros((b, n))
+    total = np.zeros(b) if n else np.ones(b)
+    gray = 0
+    for g in range(1, 1 << n):
+        flip = (g & -g).bit_length() - 1
+        gray ^= 1 << flip
+        if gray & (1 << flip):
+            row_sums += batch[:, :, flip]
+        else:
+            row_sums -= batch[:, :, flip]
+        prod = row_sums[:, 0].copy()
+        for i in range(1, n):
+            prod *= row_sums[:, i]
+        if bin(gray).count("1") % 2 == 0:
+            total += prod
+        else:
+            total -= prod
+    return total if n % 2 == 0 else -total
+
+
+@pytest.mark.parametrize("n", range(13))
+def test_permanent_float_batch_bit_identical_to_reference(n):
+    rng = np.random.default_rng(100 + n)
+    for b in (1, 2, 257):
+        batch = rng.standard_normal((b, n, n)) * rng.exponential(size=(b, n, n))
+        kept = batch.copy()
+        for view in (batch, batch[::2], batch.transpose(0, 2, 1)):
+            assert np.array_equal(permanent_float_batch(view), ryser_row_major(view))
+        assert np.array_equal(batch, kept)
+
+
 def test_gram_matrix_orthonormal_coordinates():
     e1, e2 = LinearForm.coordinate(2, 0), LinearForm.coordinate(2, 1)
     assert gram_matrix([e1, e2], [e1, e2]) == ((1, 0), (0, 1))

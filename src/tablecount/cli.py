@@ -1,7 +1,8 @@
 """Command line front end: every counting path behind one executable.
 
 Reports are JSON objects (or aligned text with --output table).  Identical
-arguments and seed give identical reports except for the elapsed_ms field.
+arguments and seed give identical reports except for the elapsed_ms field
+and compare's per-method ms.
 Exact values (integer counts, rationals) that cannot survive a float round
 trip are emitted as JSON strings, or as null when their decimal form would
 pass the interpreter's integer string limit; every exact value comes with its
@@ -27,7 +28,6 @@ from .lowrank import _band_report, approx_coefficients, build_e_tilde, build_h_t
 from .polynomial import SparsePolynomial, poly_to_text
 from .counting import (
     Margins,
-    WeightMatrix,
     bekessy_estimate,
     bekessy_log_estimate,
     exact_count_01,
@@ -88,38 +88,28 @@ def _parse_column_sets(text: str) -> List[List[int]]:
     return [_parse_int_list(part, "column set") for part in text.split(";")]
 
 
-def _read_text(path: str) -> str:
+def _read_table(path: str, from_csv, from_json):
+    """Parse a file with from_csv when its name ends in .csv, else with from_json."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            return handle.read()
+            text = handle.read()
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc.strerror or exc}")
+    return (from_csv if path.endswith(".csv") else from_json)(text)
 
 
 def _load_margins(args: argparse.Namespace) -> Margins:
     if args.margins_file is not None:
         if args.rows is not None or args.cols is not None:
             raise ValidationError("give margins inline or by file, not both")
-        text = _read_text(args.margins_file)
-        if args.margins_file.endswith(".csv"):
-            return margins_from_csv_text(text)
-        return margins_from_json_text(text)
+        return _read_table(args.margins_file, margins_from_csv_text, margins_from_json_text)
     if args.rows is None or args.cols is None:
         raise ValidationError("need --rows and --cols, or --margins-file")
     return Margins(_parse_int_list(args.rows, "--rows"), _parse_int_list(args.cols, "--cols"))
 
 
-def _load_weights(args: argparse.Namespace) -> WeightMatrix:
-    if args.weights_file is None:
-        raise ValidationError("need --weights-file")
-    text = _read_text(args.weights_file)
-    if args.weights_file.endswith(".csv"):
-        return weights_from_csv_text(text)
-    return weights_from_json_text(text)
-
-
 def _resolve_seed(args: argparse.Namespace) -> int:
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         return args.seed
     env = os.environ.get("TABLECOUNT_SEED")
     if env is not None:
@@ -128,10 +118,6 @@ def _resolve_seed(args: argparse.Namespace) -> int:
         except ValueError:
             raise ValidationError(f"TABLECOUNT_SEED must be an integer, got {env!r}")
     return DEFAULT_SEED
-
-
-def _margins_echo(margins: Margins) -> Dict[str, Any]:
-    return {"rows": list(margins.row_sums), "cols": list(margins.col_sums)}
 
 
 def _exact_fields(key: str, value: Any) -> Dict[str, Any]:
@@ -147,52 +133,19 @@ def _exact_fields(key: str, value: Any) -> Dict[str, Any]:
     return {key: value, "log_value": log_value}
 
 
-# margins-only commands and the report fields each one fills.  The lambdas
-# look their functions up when called, so a wrapper put on this module's
-# attribute (a profiler, a test double) sees every call.
-_MARGIN_COMMANDS = {
-    "count": lambda m: _exact_fields("count", exact_count_dp(m)),
-    "count01": lambda m: _exact_fields("count", exact_count_01(m)),
-    "fy": lambda m: _exact_fields("value", fisher_yates_count(m)),
-    "bekessy": lambda m: {"value": bekessy_estimate(m), "log_value": bekessy_log_estimate(m)},
-}
+def _on_margins(fields):
+    """A handler that loads the margins, echoes them, then adds fields(args, margins)."""
+
+    def handler(args: argparse.Namespace) -> Dict[str, Any]:
+        margins = _load_margins(args)
+        return {"rows": list(margins.row_sums), "cols": list(margins.col_sums),
+                **fields(args, margins)}
+
+    return handler
 
 
-def _cmd_margins(args: argparse.Namespace) -> Dict[str, Any]:
-    margins = _load_margins(args)
-    report = _margins_echo(margins)
-    report.update(_MARGIN_COMMANDS[args.command](margins))
-    return report
-
-
-def _cmd_estimate(args: argparse.Namespace) -> Dict[str, Any]:
-    margins = _load_margins(args)
-    seed = _resolve_seed(args)
-    est = mc_estimate_count(margins, args.samples, seed)
-    report = _margins_echo(margins)
-    report.update(_estimate_fields(est))
-    return report
-
-
-def _cmd_weighted(args: argparse.Namespace) -> Dict[str, Any]:
-    margins = _load_margins(args)
-    weights = _load_weights(args)
-    report = _margins_echo(margins)
-    report["method"] = args.method
-    if args.method == "exact":
-        report.update(_exact_fields("value", weighted_fy_count(margins, weights)))
-    elif args.method == "mc":
-        seed = _resolve_seed(args)
-        est = mc_estimate_count(margins, args.samples, seed, weights=weights)
-        report.update(_estimate_fields(est))
-    else:
-        seed = _resolve_seed(args)
-        res = lowrank_weighted_count(margins, weights, args.epsilon, seed, repeats=args.repeats)
-        report.update(_lowrank_fields(res))
-    return report
-
-
-def _estimate_fields(est: Any) -> Dict[str, Any]:
+def _mc_fields(args: argparse.Namespace, margins: Margins, weights=None) -> Dict[str, Any]:
+    est = mc_estimate_count(margins, args.samples, _resolve_seed(args), weights=weights)
     return {
         "mean": est.mean,
         "std_err": est.std_err,
@@ -217,16 +170,19 @@ def _lowrank_fields(res: Any) -> Dict[str, Any]:
     }
 
 
-def _cmd_lowrank(args: argparse.Namespace) -> Dict[str, Any]:
-    margins = _load_margins(args)
-    count = lowrank_01_count if args.command == "lowrank01" else lowrank_asymptotic_count
-    res = count(margins, args.epsilon, _resolve_seed(args), repeats=args.repeats)
-    report = _margins_echo(margins)
-    report.update(_lowrank_fields(res))
-    return report
+def _weighted(args: argparse.Namespace, margins: Margins) -> Dict[str, Any]:
+    weights = _read_table(args.weights_file, weights_from_csv_text, weights_from_json_text)
+    if args.method == "exact":
+        fields = _exact_fields("value", weighted_fy_count(margins, weights))
+    elif args.method == "mc":
+        fields = _mc_fields(args, margins, weights)
+    else:
+        fields = _lowrank_fields(lowrank_weighted_count(
+            margins, weights, args.epsilon, _resolve_seed(args), repeats=args.repeats))
+    return {"method": args.method, **fields}
 
 
-def _cmd_lowrank_colsets(args: argparse.Namespace) -> Dict[str, Any]:
+def _lowrank_colsets(args: argparse.Namespace) -> Dict[str, Any]:
     if args.rows is None:
         raise ValidationError("need --rows")
     if args.col_sets is None:
@@ -236,12 +192,10 @@ def _cmd_lowrank_colsets(args: argparse.Namespace) -> Dict[str, Any]:
     res = lowrank_column_sets_count(
         rows, column_sets, args.epsilon, _resolve_seed(args), repeats=args.repeats
     )
-    report: Dict[str, Any] = {"rows": rows, "col_sets": column_sets}
-    report.update(_lowrank_fields(res))
-    return report
+    return {"rows": rows, "col_sets": column_sets, **_lowrank_fields(res)}
 
 
-def _cmd_verify_coeffs(args: argparse.Namespace) -> Dict[str, Any]:
+def _verify_coeffs(args: argparse.Namespace) -> Dict[str, Any]:
     seed = _resolve_seed(args)
     build = build_h_tilde if args.kind == "complete" else build_e_tilde
     approx = build(args.degree, args.vars, args.epsilon, seed)
@@ -274,37 +228,40 @@ def _cmd_verify_coeffs(args: argparse.Namespace) -> Dict[str, Any]:
     }
 
 
-def _cmd_variance(args: argparse.Namespace) -> Dict[str, Any]:
-    margins = _load_margins(args)
+def _variance(args: argparse.Namespace, margins: Margins) -> Dict[str, Any]:
     seed = _resolve_seed(args)
     rep = variance_ratio_report(margins, args.samples, seed)
-    report = _margins_echo(margins)
-    report.update(
-        ratio=rep.empirical_ratio,
-        slack=rep.slack,
-        bound_general=rep.bound_part2,
-        rho=rep.rho,
-        bound_bounded_exponent=rep.bound_part3_exponent,
-        bound_bounded=rep.bound_part3,
-        within_general=rep.within_part2,
-        samples=rep.num_samples,
-        seed=seed,
-    )
-    return report
+    return {
+        "ratio": rep.empirical_ratio,
+        "slack": rep.slack,
+        "bound_general": rep.bound_part2,
+        "rho": rep.rho,
+        "bound_bounded_exponent": rep.bound_part3_exponent,
+        "bound_bounded": rep.bound_part3,
+        "within_general": rep.within_part2,
+        "samples": rep.num_samples,
+        "seed": seed,
+    }
 
 
-def _cmd_compare(args: argparse.Namespace) -> Dict[str, Any]:
-    margins = _load_margins(args)
+def _compare(args: argparse.Namespace, margins: Margins) -> Dict[str, Any]:
+    """Every route on one margin pair.  A budget error on the exact count
+    ends the run; on another route it fills that route's error field."""
     seed = _resolve_seed(args)
     exact = exact_count_dp(margins)
     methods: List[Dict[str, Any]] = []
 
     def add(name, value):
+        row = {"method": name, "value": None, "rel_error": None}
         start = time.perf_counter()
-        got = value()
-        ms = (time.perf_counter() - start) * 1000.0
-        rel = None if got is None else abs(float(got) / exact - 1.0)
-        methods.append({"method": name, "value": got, "rel_error": rel, "ms": round(ms, 3)})
+        try:
+            row["value"] = value()
+        except BudgetError as exc:
+            row["error"] = str(exc)
+        row["ms"] = round((time.perf_counter() - start) * 1000.0, 3)
+        if row["value"] is not None:
+            row["rel_error"] = abs(float(row["value"]) / exact - 1.0)
+        methods.append(row)
 
     add("exact", lambda: exact)
     add("fy", lambda: fisher_yates_count(margins))
@@ -312,34 +269,65 @@ def _cmd_compare(args: argparse.Namespace) -> Dict[str, Any]:
     add("montecarlo", lambda: mc_estimate_count(margins, args.samples, seed).mean)
     add("lowrank",
         lambda: lowrank_asymptotic_count(margins, args.epsilon, seed, repeats=args.repeats).value)
-    report = _margins_echo(margins)
-    report.update(seed=seed, samples=args.samples, epsilon=args.epsilon, methods=methods)
-    return report
+    return {"seed": seed, "samples": args.samples, "epsilon": args.epsilon, "methods": methods}
 
 
-_HANDLERS = {
-    **dict.fromkeys(_MARGIN_COMMANDS, _cmd_margins),
-    "estimate": _cmd_estimate,
-    "weighted": _cmd_weighted,
-    "lowrank": _cmd_lowrank,
-    "lowrank01": _cmd_lowrank,
-    "lowrank-colsets": _cmd_lowrank_colsets,
-    "verify-coeffs": _cmd_verify_coeffs,
-    "variance": _cmd_variance,
-    "compare": _cmd_compare,
+_ROWS = (("--rows", dict(help="comma-separated row sums")),)
+_MARGINS = _ROWS + (
+    ("--cols", dict(help="comma-separated column sums")),
+    ("--margins-file", dict(help="JSON {rows, cols} or two-line CSV")),
+)
+_SAMPLES = (("--samples", dict(type=int, default=10000)),)
+_EPSILON = (("--epsilon", dict(type=float, default=0.2)),)
+_LOWRANK = _EPSILON + (("--repeats", dict(type=int, default=1)),)
+_COMMON = (
+    ("--seed", dict(type=int, default=None,
+                    help=f"RNG seed (default {DEFAULT_SEED}, or TABLECOUNT_SEED)")),
+    ("--output", dict(choices=("json", "table"), default="json")),
+)
+
+# subcommand -> (flags in help order, report builder).  The builders name the
+# counting functions inside their bodies, so a wrapper put on this module's
+# attribute (a profiler, a test double) sees every call.
+_COMMANDS = {
+    "count": (_MARGINS + _COMMON,
+              _on_margins(lambda args, m: _exact_fields("count", exact_count_dp(m)))),
+    "count01": (_MARGINS + _COMMON,
+                _on_margins(lambda args, m: _exact_fields("count", exact_count_01(m)))),
+    "fy": (_MARGINS + _COMMON,
+           _on_margins(lambda args, m: _exact_fields("value", fisher_yates_count(m)))),
+    "bekessy": (_MARGINS + _COMMON, _on_margins(
+        lambda args, m: {"value": bekessy_estimate(m), "log_value": bekessy_log_estimate(m)})),
+    "estimate": (_MARGINS + _SAMPLES + _COMMON, _on_margins(_mc_fields)),
+    "weighted": (
+        _MARGINS
+        + (("--weights-file", dict(required=True, help="JSON {weights} or CSV grid")),
+           ("--method", dict(choices=("exact", "mc", "lowrank"), default="exact")))
+        + _SAMPLES + _LOWRANK + _COMMON,
+        _on_margins(_weighted),
+    ),
+    "lowrank": (_MARGINS + _LOWRANK + _COMMON, _on_margins(lambda args, m: _lowrank_fields(
+        lowrank_asymptotic_count(m, args.epsilon, _resolve_seed(args), repeats=args.repeats)))),
+    "lowrank01": (_MARGINS + _LOWRANK + _COMMON, _on_margins(lambda args, m: _lowrank_fields(
+        lowrank_01_count(m, args.epsilon, _resolve_seed(args), repeats=args.repeats)))),
+    "lowrank-colsets": (
+        _ROWS
+        + (("--col-sets", dict(help="allowed sums per column, ';'-separated")),)
+        + _LOWRANK + _COMMON,
+        _lowrank_colsets,
+    ),
+    "verify-coeffs": (
+        (("--kind", dict(choices=("complete", "elementary"), default="complete")),
+         ("--degree", dict(type=int, required=True)),
+         ("--vars", dict(type=int, required=True)))
+        + _EPSILON
+        + (("--dump-poly", dict(help="write the approximating polynomial to this path")),)
+        + _COMMON,
+        _verify_coeffs,
+    ),
+    "variance": (_MARGINS + _SAMPLES + _COMMON, _on_margins(_variance)),
+    "compare": (_MARGINS + _SAMPLES + _LOWRANK + _COMMON, _on_margins(_compare)),
 }
-
-
-def _add_margin_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--rows", help="comma-separated row sums")
-    sub.add_argument("--cols", help="comma-separated column sums")
-    sub.add_argument("--margins-file", help="JSON {rows, cols} or two-line CSV")
-
-
-def _add_common_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--seed", type=int, default=None,
-                     help=f"RNG seed (default {DEFAULT_SEED}, or TABLECOUNT_SEED)")
-    sub.add_argument("--output", choices=("json", "table"), default="json")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -359,62 +347,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Count integer matrices with prescribed row and column sums.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-
-    for name in _MARGIN_COMMANDS:
+    for name, (flags, _) in _COMMANDS.items():
         sub = subs.add_parser(name)
-        _add_margin_flags(sub)
-        _add_common_flags(sub)
-
-    sub = subs.add_parser("estimate")
-    _add_margin_flags(sub)
-    sub.add_argument("--samples", type=int, default=10000)
-    _add_common_flags(sub)
-
-    sub = subs.add_parser("weighted")
-    _add_margin_flags(sub)
-    sub.add_argument("--weights-file", required=True, help="JSON {weights} or CSV grid")
-    sub.add_argument("--method", choices=("exact", "mc", "lowrank"), default="exact")
-    sub.add_argument("--samples", type=int, default=10000)
-    sub.add_argument("--epsilon", type=float, default=0.2)
-    sub.add_argument("--repeats", type=int, default=1)
-    _add_common_flags(sub)
-
-    for name in ("lowrank", "lowrank01"):
-        sub = subs.add_parser(name)
-        _add_margin_flags(sub)
-        sub.add_argument("--epsilon", type=float, default=0.2)
-        sub.add_argument("--repeats", type=int, default=1)
-        _add_common_flags(sub)
-
-    sub = subs.add_parser("lowrank-colsets")
-    sub.add_argument("--rows", help="comma-separated row sums")
-    sub.add_argument("--col-sets", help="allowed sums per column, ';'-separated")
-    sub.add_argument("--epsilon", type=float, default=0.2)
-    sub.add_argument("--repeats", type=int, default=1)
-    _add_common_flags(sub)
-
-    sub = subs.add_parser("verify-coeffs")
-    sub.add_argument("--kind", choices=("complete", "elementary"), default="complete")
-    sub.add_argument("--degree", type=int, required=True)
-    sub.add_argument("--vars", type=int, required=True)
-    sub.add_argument("--epsilon", type=float, default=0.2)
-    sub.add_argument("--dump-poly", help="write the approximating polynomial to this path")
-    _add_common_flags(sub)
-
-    sub = subs.add_parser("variance")
-    _add_margin_flags(sub)
-    sub.add_argument("--samples", type=int, default=10000)
-    _add_common_flags(sub)
-
-    sub = subs.add_parser("compare")
-    _add_margin_flags(sub)
-    sub.add_argument("--samples", type=int, default=10000)
-    sub.add_argument("--epsilon", type=float, default=0.2)
-    sub.add_argument("--repeats", type=int, default=1)
-    _add_common_flags(sub)
-
+        for flag, spec in flags:
+            sub.add_argument(flag, **spec)
     return parser
-
 
 def _render_table(report: Dict[str, Any]) -> str:
     lines = []
@@ -427,9 +364,8 @@ def _render_table(report: Dict[str, Any]) -> str:
             value, rel = row["value"], row["rel_error"]
             shown = f"{value:.6g}" if isinstance(value, float) else str(value)
             rel_shown = "-" if rel is None else f"{rel:.4g}"
-            lines.append(
-                f"{row['method']:<12} {shown:>16} {rel_shown:>12} {row['ms']:>10.3f}"
-            )
+            lines.append(f"{row['method']:<12} {shown:>16} {rel_shown:>12} {row['ms']:>10.3f}"
+                         + (f"  {row['error']}" if "error" in row else ""))
     else:
         for key, value in report.items():
             lines.append(f"{key:<12} {value}")
@@ -447,7 +383,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         start = time.perf_counter()
         # non-finite floats are reported by _encode, so numpy need not warn
         with np.errstate(all="ignore"):
-            report = _HANDLERS[args.command](args)
+            report = _COMMANDS[args.command][1](args)
         report = {"command": args.command, **report}
         report["elapsed_ms"] = round((time.perf_counter() - start) * 1000.0, 3)
         encoded = _encode(report)

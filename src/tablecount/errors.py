@@ -39,7 +39,8 @@ class EnumerationBudgetError(BudgetError):
 
 
 class PermanentSizeError(BudgetError):
-    """Matrix is larger than the exact-permanent size limit."""
+    """A permanent, exact or float, or a Monte Carlo route's margins total
+    would pass the permanent size limit DEFAULT_SIZE_LIMIT."""
 
 
 class SurjectionSamplingError(TableCountError):

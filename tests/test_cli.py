@@ -8,6 +8,7 @@ import pytest
 import tablecount.cli as cli
 import tablecount.lowrank as lowrank
 from tablecount.cli import DEFAULT_SEED, build_parser, main
+from tablecount.errors import EnumerationBudgetError
 from tablecount.lowrank import approx_coefficients, build_e_tilde, build_h_tilde
 from tablecount.polynomial import poly_from_text, poly_to_text
 
@@ -150,6 +151,9 @@ def test_bad_env_seed_rejected(capsys, monkeypatch):
         env={"TABLECOUNT_SEED": "not-a-number"}, monkeypatch=monkeypatch,
     )
     assert code == 2
+    # only commands that draw resolve a seed
+    report = run_json(capsys, "count", "--rows", "1,1", "--cols", "1,1")
+    assert report["count"] == 2
 
 
 def test_reports_deterministic_modulo_timing(capsys):
@@ -367,6 +371,41 @@ def test_compare_2x2_bekessy_error(capsys):
     assert by_method["exact"]["value"] == 3
     assert by_method["bekessy"]["rel_error"] == pytest.approx(0.176, abs=5e-4)
     assert set(by_method) == {"exact", "fy", "bekessy", "montecarlo", "lowrank"}
+
+
+@pytest.mark.parametrize(
+    "rows,cols,exact,failed,message",
+    [
+        ("4,4,4,4", "4,4,4,4", 10147, "lowrank", "pairing needs 11716640 terms, cap is 10000000"),
+        ("12,12", "12,12", 13, "montecarlo", "margins total 24 exceeds permanent size limit 22"),
+    ],
+)
+def test_compare_keeps_finished_methods_past_a_budget(capsys, rows, cols, exact, failed, message):
+    argv = ["compare", "--rows", rows, "--cols", cols, "--samples", "10"]
+    report = run_json(capsys, *argv)
+    by_method = {row["method"]: row for row in report["methods"]}
+    assert by_method["exact"]["value"] == exact
+    for name, row in by_method.items():
+        if name == failed:
+            assert row["value"] is None and row["rel_error"] is None
+            assert row["error"].startswith(message)
+        else:
+            assert row["value"] is not None and "error" not in row
+    code, out, err = run_cli(capsys, *argv, "--output", "table")
+    assert code == 0 and err == ""
+    assert message in next(line for line in out.splitlines() if line.startswith(failed))
+
+
+def test_compare_exact_budget_or_bad_input_still_fails(capsys, monkeypatch):
+    def over_budget(margins):
+        raise EnumerationBudgetError("enumeration exceeded 5 nodes", limit=5)
+
+    code, out, err = run_cli(capsys, "compare", "--rows", "2,2", "--cols", "2,2", "--samples", "1")
+    assert code == 2 and out == ""
+    monkeypatch.setattr(cli, "exact_count_dp", over_budget)
+    code, out, err = run_cli(capsys, "compare", "--rows", "2,2", "--cols", "2,2")
+    assert code == 3 and out == ""
+    assert json.loads(err)["error"] == "enumeration exceeded 5 nodes"
 
 
 def test_table_output_renders(capsys):

@@ -31,7 +31,6 @@ from .polynomial import (
     DEFAULT_ENUMERATION_BUDGET,
     LinearForm,
     SparsePolynomial,
-    expand_form_power,
     factorial,
     monomials,
     product_of_forms,
@@ -66,7 +65,8 @@ class TruncationSpec:
         if self.kappa <= 0:
             raise ValidationError("kappa must be positive")
         # allow a hair of slack for thresholds computed at 1e-6 resolution
-        if truncation_tail(self.kappa, self.r) > self.delta * (1 + 1e-9) + 1e-12:
+        # a tail of 0 * inf = nan past kappa ~ 709 certifies nothing
+        if not truncation_tail(self.kappa, self.r) <= self.delta * (1 + 1e-9) + 1e-12:
             raise ValidationError(
                 f"kappa={self.kappa} does not certify delta={self.delta} at degree {self.r}"
             )
@@ -191,14 +191,6 @@ class ApproxSymmetricPoly:
         forms.flags.writeable = False
         object.__setattr__(self, "forms", forms)
 
-    def __eq__(self, other):
-        if not isinstance(other, ApproxSymmetricPoly):
-            return NotImplemented
-        fields = ("kind", "r", "num_vars", "epsilon", "seed", "scale")
-        return all(getattr(self, f) == getattr(other, f) for f in fields) and np.array_equal(
-            self.forms, other.forms
-        )
-
     @property
     def form_count(self) -> int:
         return len(self.forms)
@@ -208,11 +200,12 @@ class ApproxSymmetricPoly:
         return (self.forms[:, None, :] == np.arange(self.r)[:, None]).astype(np.float64)
 
     def expand(self) -> SparsePolynomial:
-        """Materialize the represented polynomial (small form counts only)."""
-        acc = SparsePolynomial.zero(self.num_vars)
+        """Materialize the represented polynomial (small form counts only): the
+        reference for approx_coefficients, computed without it."""
+        acc = SparsePolynomial(self.num_vars)
         if self.kind == "complete":
             for row in self.forms.tolist():
-                acc = acc.add(expand_form_power(LinearForm(row), self.r))
+                acc = acc.add(product_of_forms([LinearForm(row)] * self.r))
         else:
             for group in self._group_rows().tolist():
                 acc = acc.add(product_of_forms([LinearForm(f) for f in group]))
@@ -230,22 +223,6 @@ class ApproxSymmetricPoly:
                 "scale": self.scale,
                 "forms": forms.tolist(),
             }
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "ApproxSymmetricPoly":
-        data = json.loads(text)
-        forms = np.array(data["forms"], dtype=np.float64)
-        if data["kind"] == "elementary":
-            forms = forms.reshape(-1, data["r"], data["n"]).argmax(axis=1)
-        return cls(
-            kind=data["kind"],
-            r=data["r"],
-            num_vars=data["n"],
-            epsilon=data["epsilon"],
-            seed=data["seed"],
-            scale=data["scale"],
-            forms=forms,
         )
 
 

@@ -16,11 +16,10 @@ step budget, ``BOX_STEP_BUDGET``, bounds them all.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from itertools import combinations_with_replacement
-from math import comb, prod
 from operator import add, contains, le
-from typing import Dict, Iterable, Iterator, List, Sequence, Tuple, Union
+from typing import Dict, Iterator, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -35,16 +34,11 @@ DEFAULT_ENUMERATION_BUDGET = 2 * 10**6
 # unit rows and columns, the costliest margins with N <= 22
 BOX_STEP_BUDGET = 10**8
 
-# factorials, extended on demand; index == argument
-_FACTORIALS: List[int] = [1]
-
 
 def factorial(n: int) -> int:
     if n < 0:
         raise ValidationError("factorial of negative argument")
-    while len(_FACTORIALS) <= n:
-        _FACTORIALS.append(_FACTORIALS[-1] * len(_FACTORIALS))
-    return _FACTORIALS[n]
+    return math.factorial(n)
 
 
 def monomial_weight(a: Sequence[int]) -> int:
@@ -126,7 +120,7 @@ def composition_count(total: int, bounds: Sequence[int], limit: int) -> int:
     if t == 0:
         return 1
     if caps[0] >= t:
-        return comb(len(caps) + t - 1, t)
+        return math.comb(len(caps) + t - 1, t)
     ways = np.ones(1, dtype=np.int64)  # ways[s - lo]: partial vectors summing to s
     lo = hi = done = 0
     rest = sum(caps)
@@ -234,14 +228,6 @@ class SparsePolynomial:
                 clean[tuple(expo)] = coeff
         self.terms = clean
 
-    @classmethod
-    def zero(cls, num_vars: int) -> "SparsePolynomial":
-        return cls(num_vars, {})
-
-    @classmethod
-    def constant(cls, num_vars: int, value: Coeff) -> "SparsePolynomial":
-        return cls(num_vars, {(0,) * num_vars: value})
-
     def __len__(self) -> int:
         return len(self.terms)
 
@@ -249,9 +235,6 @@ class SparsePolynomial:
         if not isinstance(other, SparsePolynomial):
             return NotImplemented
         return self.num_vars == other.num_vars and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.num_vars, frozenset(self.terms.items())))
 
     def __repr__(self) -> str:
         return f"SparsePolynomial({self.num_vars}, {len(self.terms)} terms)"
@@ -306,12 +289,6 @@ class LinearForm:
                 terms[tuple(expo)] = c
         return SparsePolynomial(n, terms)
 
-    @classmethod
-    def coordinate(cls, num_vars: int, index: int) -> "LinearForm":
-        coeffs = [0] * num_vars
-        coeffs[index] = 1
-        return cls(coeffs)
-
 
 def scalar_product(f: SparsePolynomial, g: SparsePolynomial) -> Coeff:
     """Factorial-weighted pairing: sum over shared monomials of weight * f_a * g_a.
@@ -357,45 +334,6 @@ def poly_mul(
     return SparsePolynomial(f.num_vars, out)
 
 
-def expand_form_power(
-    form: LinearForm, power: int, term_cap: int = DEFAULT_TERM_CAP
-) -> SparsePolynomial:
-    """Multinomial expansion of (c_1 x_1 + ... + c_n x_n)^power.
-
-    The monomial x^a receives coefficient (power! / prod(a_i!)) * prod(c_i^a_i);
-    only variables with non-zero form coefficient are enumerated.
-    """
-    if power < 0:
-        raise ValidationError("power must be non-negative")
-    n = len(form.coeffs)
-    if power == 0:
-        return SparsePolynomial.constant(n, 1)
-    support = [(i, c) for i, c in enumerate(form.coeffs) if c != 0]
-    if not support:
-        return SparsePolynomial.zero(n)
-    expected = comb(len(support) + power - 1, power)
-    if expected > term_cap:
-        raise TermBudgetError(
-            f"expansion has {expected} terms, cap is {term_cap}", limit=term_cap
-        )
-    r_fact = factorial(power)
-    out: Dict[Exponent, Coeff] = {}
-    for combo in combinations_with_replacement(range(len(support)), power):
-        counts = [0] * len(support)
-        for idx in combo:
-            counts[idx] += 1
-        expo = [0] * n
-        value: Coeff = 1
-        for (var, c), k in zip(support, counts):
-            expo[var] = k
-            if k:
-                value = value * c**k
-        # multinomial coefficient is integral, so // is exact
-        multi = r_fact // prod(factorial(k) for k in counts)
-        out[tuple(expo)] = multi * value
-    return SparsePolynomial(n, out)
-
-
 def product_of_forms(
     factors: Sequence[LinearForm], term_cap: int = DEFAULT_TERM_CAP
 ) -> SparsePolynomial:
@@ -413,14 +351,6 @@ def sort_key(expo: Exponent) -> Tuple[int, Tuple[int, ...]]:
     return (sum(expo), tuple(-e for e in expo))
 
 
-def format_coeff(c: Coeff) -> str:
-    if isinstance(c, float):
-        return repr(c)
-    if isinstance(c, Fraction):
-        return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
-    return str(c)
-
-
 def parse_coeff(token: str) -> Coeff:
     if "/" in token:
         return Fraction(token)
@@ -434,25 +364,5 @@ def poly_to_text(f: SparsePolynomial) -> str:
     """Canonical serialization: one "coeff e_1 ... e_n" line per term, graded-lex."""
     lines = []
     for expo in sorted(f.terms, key=sort_key):
-        lines.append(" ".join([format_coeff(f.terms[expo])] + [str(e) for e in expo]))
+        lines.append(" ".join([str(f.terms[expo])] + [str(e) for e in expo]))
     return "\n".join(lines)
-
-
-def poly_from_text(text: str, num_vars: int | None = None) -> SparsePolynomial:
-    terms: Dict[Exponent, Coeff] = {}
-    n = num_vars
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        tokens = line.split()
-        coeff = parse_coeff(tokens[0])
-        expo = tuple(int(t) for t in tokens[1:])
-        if n is None:
-            n = len(expo)
-        elif len(expo) != n:
-            raise ValidationError("inconsistent exponent lengths in polynomial text")
-        terms[expo] = terms.get(expo, 0) + coeff
-    if n is None:
-        raise ValidationError("empty polynomial text and no num_vars given")
-    return SparsePolynomial(n, terms)

@@ -10,7 +10,7 @@ import tablecount.lowrank as lowrank
 from tablecount.cli import DEFAULT_SEED, build_parser, main
 from tablecount.errors import EnumerationBudgetError
 from tablecount.lowrank import approx_coefficients, build_e_tilde, build_h_tilde
-from tablecount.polynomial import poly_from_text, poly_to_text
+from tablecount.polynomial import poly_to_text
 
 
 def run_cli(capsys, *argv, env=None, monkeypatch=None):
@@ -335,10 +335,13 @@ def test_dump_poly_matches_expansion(capsys, tmp_path, kind, degree, nvars, epsi
     text = path.read_text()
     if kind == "elementary":
         assert text == poly_to_text(reference)
-    dumped = poly_from_text(text, nvars)
-    assert dumped.terms.keys() == reference.terms.keys()
+    dumped = {}
+    for line in text.splitlines():
+        token, *expo = line.split()
+        dumped[tuple(map(int, expo))] = float(token)
+    assert dumped.keys() == reference.terms.keys()
     for expo, coeff in reference.terms.items():
-        assert dumped.terms[expo] == pytest.approx(coeff, rel=1e-12)
+        assert dumped[expo] == pytest.approx(coeff, rel=1e-12)
 
 
 def test_variance_report(capsys):

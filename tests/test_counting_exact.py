@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
@@ -156,6 +157,21 @@ def test_bekessy_unit_margins_is_factorial():
     for n in range(1, 8):
         m = Margins([1] * n, [1] * n)
         assert bekessy_estimate(m) == float(math.factorial(n))
+
+
+def test_closed_forms_keep_no_factorial_table():
+    # a table of every factorial up to N = 10^4 would hold about 71 MiB
+    m = Margins([10000], [10000])
+    tracemalloc.start()
+    try:
+        value = fisher_yates_count(m)
+        log_value = bekessy_log_estimate(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    assert value == Fraction(1, math.factorial(10000))
+    assert math.isfinite(log_value)
 
 
 def test_bekessy_2x2_value():

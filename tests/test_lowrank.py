@@ -57,6 +57,15 @@ def test_truncation_spec_rejects_bad_kappa():
         TruncationSpec(r=2, delta=0.1, kappa=1.0)
 
 
+def test_truncation_spec_rejects_nan_tail():
+    # past kappa ~ 709 the tail is exp(-kappa) * total = 0 * inf = nan
+    assert math.isnan(truncation_tail(745.1332197189331, 800))
+    with pytest.raises(ValidationError):
+        TruncationSpec(r=800, delta=0.1, kappa=745.1332197189331)
+    with pytest.raises(ValidationError):
+        solve_threshold(800, 0.1)
+
+
 def test_truncated_moment_matches_numeric_integration():
     kappa = 2.5
     for alpha in range(5):
@@ -229,13 +238,6 @@ def test_elementary_sample_count_positive():
     assert choose_elementary_sample_count(2, 0.3, 10) > 0
 
 
-def test_json_round_trip_both_kinds():
-    h = build_h_tilde(2, 4, 0.3, seed=5, form_count=6)
-    assert ApproxSymmetricPoly.from_json(h.to_json()) == h
-    e = build_e_tilde(2, 4, 0.3, seed=5, form_count=6)
-    assert ApproxSymmetricPoly.from_json(e.to_json()) == e
-
-
 def test_form_count_never_exceeds_formula():
     approx = build_h_tilde(2, 8, 0.4, seed=0)
     assert approx.form_count <= choose_sample_count(2, 0.4, 8)
@@ -259,7 +261,6 @@ def test_to_json_matches_recorded_digest(kind, r, n, epsilon, seed, forms, diges
     build = build_h_tilde if kind == "complete" else build_e_tilde
     approx = build(r, n, epsilon, seed, form_count=forms)
     assert hashlib.sha256(approx.to_json().encode()).hexdigest() == digest
-    assert ApproxSymmetricPoly.from_json(approx.to_json()) == approx
 
 
 @pytest.mark.parametrize("r,n,seed,forms", [(2, 6, 17, 50), (5, 7, 11, 60), (3, 3, 2, 40), (1, 4, 9, 5)])

@@ -139,13 +139,13 @@ def test_permanent_float_batch_bit_identical_to_reference(n):
 
 
 def test_gram_matrix_orthonormal_coordinates():
-    e1, e2 = LinearForm.coordinate(2, 0), LinearForm.coordinate(2, 1)
+    e1, e2 = LinearForm([1, 0]), LinearForm([0, 1])
     assert gram_matrix([e1, e2], [e1, e2]) == ((1, 0), (0, 1))
 
 
 def test_gram_matrix_all_ones():
     ones = LinearForm([1, 1])
-    e1, e2 = LinearForm.coordinate(2, 0), LinearForm.coordinate(2, 1)
+    e1, e2 = LinearForm([1, 0]), LinearForm([0, 1])
     assert gram_matrix([ones, ones], [e1, e2]) == ((1, 1), (1, 1))
 
 
@@ -159,7 +159,7 @@ def test_gram_matrix_length_mismatch():
 
 
 def test_pairing_via_permanent_examples():
-    e1, e2 = LinearForm.coordinate(2, 0), LinearForm.coordinate(2, 1)
+    e1, e2 = LinearForm([1, 0]), LinearForm([0, 1])
     ones = LinearForm([1, 1])
     assert pairing_via_permanent([e1, e2], [e1, e2]) == 1
     assert pairing_via_permanent([ones, ones], [e1, e2]) == 2

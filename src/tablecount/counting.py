@@ -127,12 +127,7 @@ class Margins:
 
     def divisor(self) -> int:
         """Product of all margin factorials."""
-        out = 1
-        for v in self.row_sums:
-            out *= factorial(v)
-        for v in self.col_sums:
-            out *= factorial(v)
-        return out
+        return math.prod(map(factorial, self.row_sums + self.col_sums))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Margins):
@@ -370,7 +365,10 @@ def _bekessy_exponent(margins: Margins) -> float:
 def bekessy_estimate(margins: Margins) -> float | None:
     """Closed-form asymptotic count: the factorial ratio times an exponential
     correction in the pairwise margin statistics.  None when the value lies
-    outside the float range; bekessy_log_estimate always has it."""
+    outside the float range, as a log a unit past the largest float's shows
+    before the exact ratio is built; bekessy_log_estimate always has it."""
+    if bekessy_log_estimate(margins) > math.log(np.finfo(float).max) + 1:
+        return None
     try:
         value = float(fisher_yates_count(margins)) * math.exp(_bekessy_exponent(margins))
     except OverflowError:
@@ -625,14 +623,8 @@ def _lowrank(
         families = [(r, 1, wrow) for r, wrow in zip(rows, weights)]
         cap = DEFAULT_WEIGHTED_FORMS_PER_ROW
     choose = choose_elementary_sample_count if kind == "elementary" else choose_sample_count
-    form_counts = []
-    for r, _, _ in families:
-        if exact_surrogate:
-            form_counts.append(0)
-        elif form_count is not None:
-            form_counts.append(form_count)
-        else:
-            form_counts.append(min(choose(r, epsilon, len(box)), cap))
+    form_counts = [0 if exact_surrogate else form_count if form_count is not None
+                   else min(choose(r, epsilon, len(box)), cap) for r, _, _ in families]
     per_vector = math.prod(
         math.comb(m + mult - 1, mult) for m, (_, mult, _) in zip(form_counts, families) if m
     )
@@ -683,24 +675,21 @@ def weighted_fy_count(margins: Margins, weights: WeightMatrix):
 
     Row i's table pairs each a of degree r_i inside the column box with
     prod_j w_ij^a_j / a_j!, and one pass of the box dynamic program sums the
-    products over tables.  Fraction arithmetic keeps the value exact for exact
-    weights; float values are sums of non-negative terms, so nothing cancels.
+    products over tables.  Exact weights give the exact value, with every
+    table cleared to integers; float values are sums of non-negative terms.
 
-    The sum is unchanged by transposing margins and weights or by reordering
-    rows.  The program takes the rows largest first, over the rows or the
-    columns, whichever box_work counts fewer steps for.
+    The sum is unchanged by transposing margins and weights, so the program
+    runs over the rows or the columns, whichever box_work counts fewer
+    element operations for.
     """
     _check_weight_shape(margins, weights)
     exact = weights.is_exact()
-    entries = weights.entries
-    if exact:
-        entries = [[Fraction(w) for w in wrow] for wrow in entries]
+    entries = [[Fraction(w) for w in wrow] for wrow in weights.entries] if exact else weights.entries
     sides = []
     for rows, cols, wrows in ((margins.row_sums, margins.col_sums, entries),
                               (margins.col_sums, margins.row_sums, list(zip(*entries)))):
-        order = sorted(range(len(rows)), key=lambda i: -rows[i])
-        factors = [(rows[i], 1, cols, partial(_exact_table, rows[i], cols, wrows[i], scaled=True))
-                   for i in order]
+        factors = [(r, 1, cols, partial(_exact_table, r, cols, w, scaled=True))
+                   for r, w in zip(rows, wrows)]
         sides.append((box_work(cols, factors), cols, factors))
     _, cols, factors = min(sides, key=lambda side: side[0])
     value = box_coefficient(factors, _singletons(cols))

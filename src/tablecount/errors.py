@@ -34,8 +34,8 @@ class TermBudgetError(BudgetError):
 
 class EnumerationBudgetError(BudgetError):
     """An exact enumeration (tables, monomials) would exceed its node budget,
-    the box dynamic program its step budget, or a random draw request the draw
-    budget.  The box steps are counted before any table is built."""
+    the box dynamic program its operation or cell limit (checked before any
+    table is built), or a random draw request the draw budget."""
 
 
 class PermanentSizeError(BudgetError):

@@ -26,8 +26,8 @@ def permanent_exact(matrix) -> Coeff:
     The box dynamic program over unit margins computes it: row i's table pairs
     the unit vector e_j with M_ij, and a state is the set of columns used so
     far.  Exact for int/Fraction entries; float sums of non-negative entries
-    do not cancel.  O(2^N * N) steps; N above DEFAULT_SIZE_LIMIT fails loudly
-    before work starts.
+    do not cancel.  N^2 array adds over the 2^N states, O(N^2 * 2^N) element
+    operations; N above DEFAULT_SIZE_LIMIT fails loudly before work starts.
     """
     rows = [tuple(row) for row in matrix]
     n = len(rows)

@@ -9,16 +9,17 @@ floats for randomized estimates.  Mixing exact and float operands silently
 degrades to float, which is the intended behaviour.
 
 ``box_coefficient`` reads one coefficient of a product of factors, each given
-as a table of its own coefficients, without expanding the product.  Exact
-permanents, weighted exact counts and every low-rank count use it, and one
-step budget, ``BOX_STEP_BUDGET``, bounds them all.
+as a table of its own coefficients, from one dense array of partial sums.
+Exact permanents, weighted exact counts and every low-rank count use it,
+within ``BOX_STEP_BUDGET`` element operations and ``BOX_CELL_LIMIT`` cells.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from fractions import Fraction
-from operator import add, contains, le
+from operator import le
 from typing import Dict, Iterator, Sequence, Tuple, Union
 
 import numpy as np
@@ -30,9 +31,10 @@ Coeff = Union[int, Fraction, float]
 
 DEFAULT_TERM_CAP = 10**7
 DEFAULT_ENUMERATION_BUDGET = 2 * 10**6
-# steps one box dynamic program may take: above the 92,275,150 steps of 22
-# unit rows and columns, the costliest margins with N <= 22
-BOX_STEP_BUDGET = 10**8
+# the box engine's element operations and cells: above the 1,107,296,740 and
+# 2^22 of 22 unit rows and columns, the costliest and largest margins, N <= 22
+BOX_STEP_BUDGET = 12 * 10**8
+BOX_CELL_LIMIT = 1 << 22
 
 
 def factorial(n: int) -> int:
@@ -43,12 +45,9 @@ def factorial(n: int) -> int:
 
 def monomial_weight(a: Sequence[int]) -> int:
     """Self-pairing of the monomial x^a: the product of factorials of exponents."""
-    w = 1
-    for e in a:
-        if e < 0:
-            raise ValidationError("negative exponent")
-        w *= factorial(e)
-    return w
+    if any(e < 0 for e in a):
+        raise ValidationError("negative exponent")
+    return math.prod(map(factorial, a))
 
 
 def bounded_compositions(total: int, bounds: Sequence[int]) -> Iterator[Exponent]:
@@ -156,24 +155,26 @@ def monomials(
 
 
 def box_work(bound: Sequence[int], factors: Sequence[tuple]) -> int:
-    """Steps box_coefficient takes over factors with its states inside bound,
-    or a number past BOX_STEP_BUDGET as soon as the count passes it.
+    """Element operations box_coefficient takes with its states inside bound,
+    past BOX_STEP_BUDGET once over it or for a box past BOX_CELL_LIMIT cells.
 
-    A step of the product takes its states, at most the vectors of the degree
-    used so far inside bound, times its table, at most the vectors of degree
-    r inside the table box.  A table may hold products of factors f_j(e) for
-    e up to m = min(box_j, r); exact ones grow by about a digit a step, so
-    building each table counts m(m+1)/2 steps per coordinate.
+    A step fills the box's cells, and entry a adds a slice of prod_j
+    (bound_j + 1 - a_j) cells: over the degree-r entries, [x^r] prod_j
+    sum_e (bound_j + 1 - e) x^e.  Exact factors f_j(e), e up to m = min(box_j, r),
+    grow by up to log2(e) bits a step, so building them counts m(m+1)/2 * bits(m).
     """
-    used = work = 0
+    cells = math.prod(b + 1 for b in bound)
+    if cells > BOX_CELL_LIMIT:
+        return BOX_STEP_BUDGET + 1
+    work = 0
     for r, mult, box, _ in factors:
-        table = composition_count(r, box, BOX_STEP_BUDGET)
-        work += sum(m * (m + 1) // 2 for m in (min(b, r) for b in box))
-        for _ in range(mult):
-            work += composition_count(used, bound, BOX_STEP_BUDGET) * table
-            used += r
-            if work > BOX_STEP_BUDGET:
-                return work
+        slices = np.ones(1, dtype=np.int64)
+        for b, c in zip(bound, box):
+            slices = np.convolve(slices, np.arange(b + 1, b - min(b, c, r), -1))[:r + 1]
+        work += sum(m * (m + 1) // 2 * m.bit_length() for m in (min(b, r) for b in box))
+        work += mult * (cells + (int(slices[r]) if r < slices.size else 0))
+        if work > BOX_STEP_BUDGET:
+            return work
     return work
 
 
@@ -181,30 +182,48 @@ def box_coefficient(factors: Sequence[tuple], column_sets: Sequence[frozenset]) 
     """Sum over end vectors v with v_j in column_sets[j] of [x^v] prod factor^mult.
 
     Each factor is (degree r, mult, table box, build), and build() returns its
-    (a, coefficient) pairs, a of degree r inside the table box.  A dynamic
-    program over the column sums used so far (after Gail and Mantel) keeps
-    its states inside the box 0 <= v_j <= max(column_sets[j]).  Its steps are
-    counted with box_work first: past BOX_STEP_BUDGET it raises before any
-    builder runs.  Plain dict arithmetic keeps int and Fraction coefficients
-    exact; with non-negative coefficients nothing cancels.
+    (a, coefficient) pairs, a of degree r inside the table box.  The states of
+    a dynamic program over the column sums used so far (Gail and Mantel) fill
+    one array over the box 0 <= v_j <= max(column_sets[j]); entry a adds its
+    coefficient times the states up to bound - a into the cells from a on.
+    Past BOX_CELL_LIMIT or BOX_STEP_BUDGET it raises before any builder runs.
+    The array is float64 if a coefficient is a float (a zero state times inf
+    adds nothing), else Python ints over each table's common denominator q.
     """
     bound = tuple(max(allowed, default=0) for allowed in column_sets)
+    cells = math.prod(b + 1 for b in bound)
+    if cells > BOX_CELL_LIMIT:
+        raise EnumerationBudgetError(f"box of {cells} cells exceeds the limit {BOX_CELL_LIMIT}",
+                                     limit=BOX_CELL_LIMIT)
     if box_work(bound, factors) > BOX_STEP_BUDGET:
-        raise EnumerationBudgetError(
-            f"enumeration would exceed {BOX_STEP_BUDGET} nodes", limit=BOX_STEP_BUDGET
-        )
-    states: Dict[Exponent, Coeff] = {(0,) * len(bound): 1}
-    for _, mult, _, build in factors:
-        table = [(a, coeff) for a, coeff in build() if coeff]
-        for _ in range(mult):
-            nxt: Dict[Exponent, Coeff] = {}
-            for used, value in states.items():
-                for a, coeff in table:
-                    key = tuple(map(add, used, a))
-                    if all(map(le, key, bound)):
-                        nxt[key] = nxt.get(key, 0) + value * coeff
-            states = nxt
-    return sum(value for v, value in states.items() if all(map(contains, column_sets, v)))
+        raise EnumerationBudgetError(f"box engine would exceed {BOX_STEP_BUDGET} element operations",
+                                     limit=BOX_STEP_BUDGET)
+    tables = [[(a, c) for a, c in build() if c and all(map(le, a, bound))] for *_, build in factors]
+    coeffs = [c for table in tables for _, c in table]
+    exact = all(isinstance(c, numbers.Rational) for c in coeffs)
+    denominator = 1
+    for k, table in enumerate(tables if exact else ()):
+        q = math.lcm(*(c.denominator for _, c in table))
+        tables[k] = [(a, int(c.numerator) * (q // c.denominator)) for a, c in table]
+        denominator *= q ** factors[k][1]
+    state = np.zeros(tuple(b + 1 for b in bound), dtype=object if exact else np.float64)
+    state[(0,) * len(bound)] = 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        for (_, mult, _, _), table in zip(factors, tables):
+            moves = [(tuple(slice(e, None) for e in a), tuple(slice(b + 1 - e) for b, e in zip(bound, a)),
+                      c if exact else float(c)) for a, c in table]
+            for _ in range(mult):
+                nxt = np.zeros_like(state)
+                for dst, src, c in moves:
+                    term = c * state[src]
+                    if c == math.inf:
+                        term[state[src] == 0] = 0
+                    nxt[dst] += term
+                state = nxt
+    total = state[np.ix_(*(sorted(allowed) for allowed in column_sets))].sum()
+    if not exact:
+        return float(total)
+    return total if all(isinstance(c, numbers.Integral) for c in coeffs) else Fraction(total, denominator)
 
 
 class SparsePolynomial:
@@ -281,13 +300,8 @@ class LinearForm:
 
     def as_polynomial(self) -> SparsePolynomial:
         n = len(self.coeffs)
-        terms: Dict[Exponent, Coeff] = {}
-        for i, c in enumerate(self.coeffs):
-            if c != 0:
-                expo = [0] * n
-                expo[i] = 1
-                terms[tuple(expo)] = c
-        return SparsePolynomial(n, terms)
+        units = (tuple(int(i == j) for j in range(n)) for i in range(n))
+        return SparsePolynomial(n, dict(zip(units, self.coeffs)))
 
 
 def scalar_product(f: SparsePolynomial, g: SparsePolynomial) -> Coeff:
@@ -362,7 +376,4 @@ def parse_coeff(token: str) -> Coeff:
 
 def poly_to_text(f: SparsePolynomial) -> str:
     """Canonical serialization: one "coeff e_1 ... e_n" line per term, graded-lex."""
-    lines = []
-    for expo in sorted(f.terms, key=sort_key):
-        lines.append(" ".join([str(f.terms[expo])] + [str(e) for e in expo]))
-    return "\n".join(lines)
+    return "\n".join(" ".join(map(str, (f.terms[expo], *expo))) for expo in sorted(f.terms, key=sort_key))

@@ -81,11 +81,16 @@ def test_budget_error_exits_3(capsys):
 @pytest.mark.parametrize(
     "argv, message",
     [
-        # 12870 monomials per row: 165.6 million box steps, counted before any table
-        (["lowrank", "--rows", "8,8", "--cols", ",".join(["1"] * 16)],
-         "enumeration would exceed 100000000 nodes"),
+        # 705432 monomials per row: 2.9 billion element operations, counted before any table
+        (["lowrank", "--rows", "11,11", "--cols", ",".join(["1"] * 22)],
+         "box engine would exceed 1200000000 element operations"),
         # a billion repeats of one family: charged before any repeat seed is derived
         (["lowrank", "--rows", "1", "--cols", "1", "--repeats", "1000000000"], "draw budget"),
+        # 2^24 and 2^30 states: the box is refused before any array is allocated
+        (["lowrank", "--rows", "12,12", "--cols", ",".join(["1"] * 24)],
+         "box of 16777216 cells exceeds the limit 4194304"),
+        (["lowrank", "--rows", "30", "--cols", ",".join(["1"] * 30)],
+         "box of 1073741824 cells exceeds the limit 4194304"),
     ],
 )
 def test_lowrank_budget_exits_3_at_once(capsys, argv, message):
@@ -95,6 +100,14 @@ def test_lowrank_budget_exits_3_at_once(capsys, argv, message):
     assert code == 3
     assert out == "" and err.count("\n") == 1
     assert message in json.loads(err)["error"]
+
+
+def test_lowrank_inside_budget_answers_at_once(capsys):
+    # 12870 monomials per row over a box of 2^16 cells: 6.7 million element operations
+    start = time.perf_counter()
+    report = run_json(capsys, "lowrank", "--rows", "8,8", "--cols", ",".join(["1"] * 16))
+    assert time.perf_counter() - start < 2.0
+    assert report["form_counts"] == [128] and report["value"] > 0
 
 
 @pytest.mark.parametrize(

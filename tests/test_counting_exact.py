@@ -270,6 +270,14 @@ def test_bekessy_log_estimate_past_float_range():
     assert bekessy_log_estimate(small) == pytest.approx(math.log(bekessy_estimate(small)))
 
 
+def test_bekessy_estimate_past_float_range_skips_the_exact_ratio(monkeypatch):
+    def no_ratio(margins):
+        raise AssertionError("the exact factorial ratio was built")
+
+    monkeypatch.setattr(counting, "fisher_yates_count", no_ratio)
+    assert bekessy_estimate(Margins([100000, 1], [100001])) is None
+
+
 def test_weight_matrix_validation():
     with pytest.raises(ValidationError):
         WeightMatrix([[1, -1]])

@@ -23,7 +23,7 @@ from typing import Any, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from .errors import BudgetError, SurjectionSamplingError, TableCountError, ValidationError
+from .errors import BudgetError, CertificationError, SurjectionSamplingError, TableCountError, ValidationError
 from .lowrank import _band_report, approx_coefficients, build_e_tilde, build_h_tilde, verify_coefficients
 from .polynomial import SparsePolynomial, poly_to_text
 from .counting import (
@@ -244,9 +244,15 @@ def _variance(args: argparse.Namespace, margins: Margins) -> Dict[str, Any]:
     }
 
 
+def _bekessy(args: argparse.Namespace, margins: Margins) -> Dict[str, Any]:
+    log_value = bekessy_log_estimate(margins)
+    return {"value": bekessy_estimate(margins, log_value), "log_value": log_value}
+
+
 def _compare(args: argparse.Namespace, margins: Margins) -> Dict[str, Any]:
     """Every route on one margin pair.  A budget error on the exact count
-    ends the run; on another route it fills that route's error field."""
+    ends the run; on another route it fills that route's error field, as does
+    the low-rank route's certification error."""
     seed = _resolve_seed(args)
     exact = exact_count_dp(margins)
     methods: List[Dict[str, Any]] = []
@@ -256,7 +262,7 @@ def _compare(args: argparse.Namespace, margins: Margins) -> Dict[str, Any]:
         start = time.perf_counter()
         try:
             row["value"] = value()
-        except BudgetError as exc:
+        except (BudgetError, CertificationError) as exc:
             row["error"] = str(exc)
         row["ms"] = round((time.perf_counter() - start) * 1000.0, 3)
         if row["value"] is not None:
@@ -296,8 +302,7 @@ _COMMANDS = {
                 _on_margins(lambda args, m: _exact_fields("count", exact_count_01(m)))),
     "fy": (_MARGINS + _COMMON,
            _on_margins(lambda args, m: _exact_fields("value", fisher_yates_count(m)))),
-    "bekessy": (_MARGINS + _COMMON, _on_margins(
-        lambda args, m: {"value": bekessy_estimate(m), "log_value": bekessy_log_estimate(m)})),
+    "bekessy": (_MARGINS + _COMMON, _on_margins(_bekessy)),
     "estimate": (_MARGINS + _SAMPLES + _COMMON, _on_margins(_mc_fields)),
     "weighted": (
         _MARGINS

@@ -20,6 +20,11 @@ class DimensionMismatchError(ValidationError):
     """Operands disagree on the number of variables or vector lengths."""
 
 
+class CertificationError(ValidationError):
+    """No truncation threshold certifies the moment loss at the requested
+    degree: past about degree 665 the float tail is 0 * inf."""
+
+
 class BudgetError(TableCountError):
     """A resource limit would be exceeded; limit holds its value."""
 

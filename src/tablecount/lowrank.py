@@ -26,7 +26,7 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from .errors import EnumerationBudgetError, SurjectionSamplingError, ValidationError
+from .errors import CertificationError, EnumerationBudgetError, SurjectionSamplingError, ValidationError
 from .polynomial import (
     DEFAULT_ENUMERATION_BUDGET,
     LinearForm,
@@ -67,7 +67,7 @@ class TruncationSpec:
         # allow a hair of slack for thresholds computed at 1e-6 resolution
         # a tail of 0 * inf = nan past kappa ~ 709 certifies nothing
         if not truncation_tail(self.kappa, self.r) <= self.delta * (1 + 1e-9) + 1e-12:
-            raise ValidationError(
+            raise CertificationError(
                 f"kappa={self.kappa} does not certify delta={self.delta} at degree {self.r}"
             )
 

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 import tablecount.cli as cli
+import tablecount.counting as counting
 import tablecount.lowrank as lowrank
 from tablecount.cli import DEFAULT_SEED, build_parser, main
 from tablecount.errors import EnumerationBudgetError
@@ -434,6 +435,33 @@ def test_table_output_renders(capsys):
     code, out, err = run_cli(capsys, "count", "--rows", "2,2", "--cols", "2,2", "--output", "table")
     assert code == 0
     assert "count" in out
+
+
+def test_bekessy_computes_its_log_once(capsys, monkeypatch):
+    calls = []
+    log = counting.bekessy_log_estimate
+
+    def counted(margins):
+        calls.append(margins)
+        return log(margins)
+
+    monkeypatch.setattr(cli, "bekessy_log_estimate", counted)
+    monkeypatch.setattr(counting, "bekessy_log_estimate", counted)
+    report = run_json(capsys, "bekessy", "--rows", "3,3", "--cols", "2,2,2")
+    assert len(calls) == 1
+    assert report["log_value"] == pytest.approx(math.log(report["value"]), rel=1e-12)
+
+
+def test_compare_reports_the_lowrank_certification_error(capsys):
+    report = run_json(capsys, "compare", "--rows", "700", "--cols", "700", "--samples", "10")
+    by_method = {row["method"]: row for row in report["methods"]}
+    assert by_method["exact"]["value"] == 1
+    row = by_method["lowrank"]
+    assert row["value"] is None and row["rel_error"] is None
+    assert "does not certify" in row["error"] and "at degree 700" in row["error"]
+    code, out, err = run_cli(capsys, "lowrank", "--rows", "700", "--cols", "700")
+    assert code == 2 and out == ""
+    assert "does not certify" in json.loads(err)["error"]
 
 
 def test_bekessy_log_value_past_float_range(capsys):

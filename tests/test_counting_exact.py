@@ -1,4 +1,6 @@
+import functools
 import math
+import random
 import tracemalloc
 from fractions import Fraction
 from itertools import product
@@ -111,19 +113,93 @@ def test_enumeration_budget_fires():
 @pytest.mark.parametrize(
     "count, rows, cols, spend",
     [
-        (exact_count_dp, (3, 3, 3, 3), (4, 4, 4), 94),
-        (exact_count_dp, (10,) * 4, (10,) * 4, 9286),
+        (exact_count_dp, (3, 3, 3, 3), (4, 4, 4), 51),
+        (exact_count_dp, (10,) * 4, (10,) * 4, 759),
         (exact_count_01, (3,) * 6, (3,) * 6, 240),
         (exact_count_01, (3,) * 7, (3,) * 7, 609),
     ],
 )
 def test_dp_node_spend_is_pinned(count, rows, cols, spend):
-    # one node per composition a line takes, once per memoized state
+    # one node per composition a line takes, once per memoized state; the two
+    # plain counts are cheaper on the dense pass and spend its node-equivalents
     m = Margins(rows, cols)
     value = count(m, node_budget=spend)
     with pytest.raises(EnumerationBudgetError):
         count(m, node_budget=spend - 1)
     assert value == count(m)
+
+
+def test_dense_pass_equals_the_sorted_dp():
+    rng = random.Random(19)
+    for _ in range(80):
+        rows = [rng.randint(1, 5) for _ in range(rng.randint(1, 4))]
+        cols = [rng.randint(1, 5) for _ in range(rng.randint(1, 4))]
+        gap = sum(rows) - sum(cols)
+        if gap > 0:
+            cols[-1] += gap
+        else:
+            rows[-1] -= gap
+        plain = counting._line_count(cols, rows, None, 10**7)
+        zero_one = counting._line_count(rows, cols, 1, 10**7)
+        for box, lines in ((rows, cols), (cols, rows)):
+            assert counting._dense_count(box, lines, False) == plain, (rows, cols)
+            assert counting._dense_count(box, lines, True) == zero_one, (rows, cols)
+
+
+def test_dense_pass_moves_past_int64():
+    # 30! / 5!^6 is about 8.9e19, past 2^63: the last lines run on Python ints
+    want = math.factorial(30) // math.factorial(5) ** 6
+    assert want >= 1 << 63
+    assert counting._dense_count((5,) * 6, (1,) * 30, False) == want
+    assert counting._dense_count((5,) * 6, (1,) * 30, True) == want
+
+
+def test_four_by_four_forty_equals_stanley_polynomial():
+    # 4 x 4 tables with every line sum n (OEIS A001496), a degree-9 polynomial
+    coeffs = [11, 198, 1596, 7560, 23289, 48762, 70234, 68220, 40950, 11340]
+    want = Fraction(sum(c * 40 ** (9 - i) for i, c in enumerate(coeffs)), 11340)
+    assert exact_count_dp(Margins((40,) * 4, (40,) * 4)) == want
+
+
+def test_symmetric_unit_margins_spend_the_sorted_dp_nodes():
+    m = Margins((1,) * 14, (1,) * 14)
+    sorted_dp = functools.partial(counting._line_count, m.col_sums, m.row_sums, None)
+    assert exact_count_dp(m, node_budget=105) == sorted_dp(105) == math.factorial(14)
+    for count in (lambda spend: exact_count_dp(m, node_budget=spend), sorted_dp):
+        with pytest.raises(EnumerationBudgetError):
+            count(104)
+
+
+def test_sorted_dp_allowance_leaves_the_dense_pass_its_budget(monkeypatch):
+    # the dense pass costs 759 node-equivalents on (10^4)x(10^4)
+    limits = []
+    line_count = counting._line_count
+
+    def recorded(lines, state, cap, limit):
+        limits.append(limit)
+        return line_count(lines, state, cap, limit)
+
+    m = Margins((10,) * 4, (10,) * 4)
+    want = line_count(m.col_sums, m.row_sums, None, 10**7)
+    monkeypatch.setattr(counting, "_line_count", recorded)
+    for budget in (759, 1000, 10**7):
+        limits.clear()
+        assert exact_count_dp(m, node_budget=budget) == want
+        assert limits == [min(759, budget - 759)]
+
+
+def test_dense_pass_past_the_budget_builds_no_array(monkeypatch):
+    def no_dense(*args):
+        raise AssertionError("the dense pass ran")
+
+    monkeypatch.setattr(counting, "_dense_count", no_dense)
+    with pytest.raises(EnumerationBudgetError):
+        exact_count_dp(Margins((10,) * 4, (10,) * 4), node_budget=758)
+
+
+def test_dense_pass_is_not_costed_past_the_cell_limit():
+    assert counting._dense_cost((1,) * 22, (1,) * 22, False, 10**12) is not None
+    assert counting._dense_cost((1,) * 23, (1,) * 23, False, 10**12) is None
 
 
 def test_counts_invariant_under_margin_permutations():

@@ -18,10 +18,9 @@ import math
 import os
 import sys
 import time
+import warnings
 from fractions import Fraction
 from typing import Any, Dict, List, Optional, Sequence
-
-import numpy as np
 
 from .errors import BudgetError, CertificationError, SurjectionSamplingError, TableCountError, ValidationError
 from .lowrank import _band_report, approx_coefficients, build_e_tilde, build_h_tilde, verify_coefficients
@@ -386,8 +385,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         start = time.perf_counter()
-        # non-finite floats are reported by _encode, so numpy need not warn
-        with np.errstate(all="ignore"):
+        # non-finite floats are reported by _encode, so numpy's floating-point
+        # warnings stay off stderr; a filter does it without importing numpy
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
             report = _COMMANDS[args.command][1](args)
         report = {"command": args.command, **report}
         report["elapsed_ms"] = round((time.perf_counter() - start) * 1000.0, 3)

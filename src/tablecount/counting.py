@@ -36,14 +36,14 @@ import json
 import math
 import numbers
 import statistics
+import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import partial
 from operator import sub
 from typing import Dict, Iterator, List, Sequence, Tuple
 
-import numpy as np
-
+from ._np import np
 from .errors import (
     DimensionMismatchError,
     EnumerationBudgetError,
@@ -463,8 +463,17 @@ def weighted_count_bruteforce(
 
 
 def fisher_yates_count(margins: Margins) -> Fraction:
-    """Weighted count under weight prod 1/d_ij!: exactly N! over margin factorials."""
-    return Fraction(factorial(margins.total), margins.divisor())
+    """Weighted count under weight prod 1/d_ij!: exactly N! over margin factorials.
+
+    The multinomial N! / prod r_i! is an integer, built as a product of
+    binomials, so the fraction reduces it against prod c_j! alone: a far
+    smaller gcd than N! against the product of every margin factorial.
+    """
+    multinomial, used = 1, 0
+    for r in margins.row_sums:
+        used += r
+        multinomial *= math.comb(used, r)
+    return Fraction(multinomial, math.prod(map(factorial, margins.col_sums)))
 
 
 def _bekessy_exponent(margins: Margins) -> float:
@@ -482,7 +491,7 @@ def bekessy_estimate(margins: Margins, log_value: float | None = None) -> float 
     caller that holds it passes it as log_value."""
     if log_value is None:
         log_value = bekessy_log_estimate(margins)
-    if log_value > math.log(np.finfo(float).max) + 1:
+    if log_value > math.log(sys.float_info.max) + 1:
         return None
     try:
         value = float(fisher_yates_count(margins)) * math.exp(_bekessy_exponent(margins))

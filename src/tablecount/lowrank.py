@@ -24,8 +24,7 @@ from fractions import Fraction
 from itertools import islice
 from typing import Sequence, Tuple
 
-import numpy as np
-
+from ._np import np
 from .errors import CertificationError, EnumerationBudgetError, SurjectionSamplingError, ValidationError
 from .polynomial import (
     DEFAULT_ENUMERATION_BUDGET,

@@ -12,8 +12,7 @@ from __future__ import annotations
 
 from typing import Sequence, Tuple
 
-import numpy as np
-
+from ._np import np
 from .errors import DimensionMismatchError, PermanentSizeError, ValidationError
 from .polynomial import Coeff, LinearForm, box_coefficient
 

@@ -22,8 +22,7 @@ from fractions import Fraction
 from operator import le
 from typing import Dict, Iterator, Sequence, Tuple, Union
 
-import numpy as np
-
+from ._np import np
 from .errors import DimensionMismatchError, EnumerationBudgetError, TermBudgetError, ValidationError
 
 Exponent = Tuple[int, ...]
@@ -220,7 +219,10 @@ def box_coefficient(factors: Sequence[tuple], column_sets: Sequence[frozenset]) 
                         term[state[src] == 0] = 0
                     nxt[dst] += term
                 state = nxt
-    total = state[np.ix_(*(sorted(allowed) for allowed in column_sets))].sum()
+    # one take per axis gathers the same array as state[np.ix_(...)] at about half the cost
+    for axis, allowed in enumerate(column_sets):
+        state = state.take(sorted(allowed), axis=axis)
+    total = state.sum()
     if not exact:
         return float(total)
     return total if all(isinstance(c, numbers.Integral) for c in coeffs) else Fraction(total, denominator)

@@ -10,7 +10,7 @@ stay reproducible under any execution order.
 
 from __future__ import annotations
 
-import numpy as np
+from ._np import np
 
 MASK64 = (1 << 64) - 1
 

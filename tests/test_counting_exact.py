@@ -1,6 +1,7 @@
 import functools
 import math
 import random
+import time
 import tracemalloc
 from fractions import Fraction
 from itertools import product
@@ -374,3 +375,20 @@ def test_weights_io():
     assert w.entries[1][0] == 2.5
     w2 = weights_from_csv_text("1,1/2\n2.5,3\n")
     assert w2 == w
+
+
+def test_fisher_yates_equals_the_factorial_ratio():
+    sums = [s for k in range(1, 4) for s in product(range(1, 6), repeat=k)]
+    for rows, cols in product(sums, repeat=2):
+        if sum(rows) == sum(cols):
+            m = Margins(rows, cols)
+            assert fisher_yates_count(m) == Fraction(math.factorial(m.total), m.divisor()), m
+
+
+def test_fisher_yates_at_large_n_reduces_one_fraction():
+    # reducing 100000! against all four margin factorials took about 9 s
+    m = Margins([50000, 50000], [50000, 50000])
+    start = time.process_time()
+    value = fisher_yates_count(m)
+    assert time.process_time() - start < 2.0
+    assert value == Fraction(math.comb(100000, 50000), math.factorial(50000) ** 2)

@@ -73,7 +73,11 @@ from .polynomial import (
 from .rng import DRAW_BUDGET, derive_seed, derive_seed_block, exponential_matrix
 
 DEFAULT_NODE_BUDGET = 10**7
-DEFAULT_CHUNK = 16384
+# A default Monte Carlo chunk holds at most CHUNK_ENTRIES block-matrix entries
+# (2 MiB of doubles), and from MIN_CHUNK to MAX_CHUNK samples.
+CHUNK_ENTRIES = 2**18
+MIN_CHUNK = 2048
+MAX_CHUNK = 16384
 # sampled forms per distinct margin value in the counting pipelines; the
 # conservative concentration formula is used when it asks for fewer
 DEFAULT_FORMS_PER_VALUE = 128
@@ -501,10 +505,11 @@ def bekessy_estimate(margins: Margins, log_value: float | None = None) -> float 
 
 
 def bekessy_log_estimate(margins: Margins) -> float:
-    """Natural log of the Bekessy estimate, from the integer logs of N! and of
-    the margin factorials, so it is finite for any margins."""
-    log_ratio = math.log(factorial(margins.total)) - math.log(margins.divisor())
-    return log_ratio + _bekessy_exponent(margins)
+    """Natural log of the Bekessy estimate, with log N! and the logs of the
+    margin factorials from math.lgamma, so it is finite for any margins and
+    builds no factorial."""
+    log_divisor = math.fsum(math.lgamma(s + 1) for s in margins.row_sums + margins.col_sums)
+    return math.lgamma(margins.total + 1) - log_divisor + _bekessy_exponent(margins)
 
 
 # ---------------------------------------------------------------------------
@@ -516,14 +521,16 @@ def mc_sample_values(
     num_samples: int,
     seed: int,
     weights: WeightMatrix | None = None,
-    chunk_size: int = DEFAULT_CHUNK,
+    chunk_size: int | None = None,
 ) -> np.ndarray:
     """Raw per-sample permanents of the random block matrix.
 
     Sample k draws its cell exponentials (row-major) from the child stream
     derive_seed(seed, k); with weights, cell (i, j) is scaled by w_ij.  Values
-    are independent of chunk_size.  The permanent size N is at most
-    DEFAULT_SIZE_LIMIT, and the samples times the cells at most DRAW_BUDGET.
+    are independent of chunk_size, which defaults to CHUNK_ENTRIES // N^2
+    samples clamped to [MIN_CHUNK, MAX_CHUNK].  The permanent size N is at
+    most DEFAULT_SIZE_LIMIT, and the samples times the cells at most
+    DRAW_BUDGET.
     """
     n_total = margins.total
     if n_total > DEFAULT_SIZE_LIMIT:
@@ -533,6 +540,8 @@ def mc_sample_values(
         )
     if num_samples < 1:
         raise ValidationError("need at least one sample")
+    if chunk_size is None:
+        chunk_size = min(MAX_CHUNK, max(MIN_CHUNK, CHUNK_ENTRIES // max(n_total * n_total, 1)))
     if chunk_size < 1:
         raise ValidationError("chunk_size must be positive")
     m, n = margins.num_rows, margins.num_cols
@@ -553,10 +562,24 @@ def mc_sample_values(
         seeds = derive_seed_block(seed, stop - start, start)
         cells = exponential_matrix(seeds, m * n).reshape(-1, m, n)
         if w is not None:
-            cells = cells * w
-        blocks = cells[:, row_of][:, :, col_of]
-        out[start:stop] = permanent_float_batch(blocks)
+            cells *= w
+        # the kernel reads (column, row, batch): gather one axis at a time in
+        # that layout and pass the (batch, row, column) view, which it reads
+        # without a copy
+        blocks = cells.T.take(col_of, axis=0).take(row_of, axis=1)
+        out[start:stop] = permanent_float_batch(blocks.transpose(2, 1, 0))
     return out
+
+
+def _mean_and_std(values: np.ndarray) -> Tuple[float, float]:
+    """np.mean(values) and np.std(values, ddof=1), bit for bit: np.std's own
+    steps (mean, subtract, square, sum / (n - 1)) run in place, so values is
+    left holding its squared deviations."""
+    n = values.size
+    mean = np.add.reduce(values) / n
+    np.subtract(values, mean, out=values)
+    np.square(values, out=values)
+    return float(mean), math.sqrt(np.add.reduce(values) / (n - 1))
 
 
 def mc_estimate_count(
@@ -564,7 +587,7 @@ def mc_estimate_count(
     num_samples: int,
     seed: int,
     weights: WeightMatrix | None = None,
-    chunk_size: int = DEFAULT_CHUNK,
+    chunk_size: int | None = None,
 ) -> CountEstimate:
     """Unbiased table-count estimate: average permanent over margin factorials.
 
@@ -577,8 +600,9 @@ def mc_estimate_count(
     if values.size < 2:
         raise ValidationError("need at least two samples for a standard error")
     divisor = float(margins.divisor())
-    mean = float(np.mean(values)) / divisor
-    std_err = float(np.std(values, ddof=1)) / (divisor * math.sqrt(values.size))
+    mean, std = _mean_and_std(values)
+    mean /= divisor
+    std_err = std / (divisor * math.sqrt(values.size))
     return CountEstimate(
         mean=mean,
         std_err=std_err,
@@ -614,11 +638,11 @@ def variance_ratio_report(
     if values.size < 2:
         raise ValidationError("need at least two samples")
     squares = values * values
-    m1 = float(np.mean(values))
-    m2 = float(np.mean(squares))
+    m1, sd1 = _mean_and_std(values)
+    m2, sd2 = _mean_and_std(squares)
     ratio = m2 / (m1 * m1)
-    se1 = float(np.std(values, ddof=1)) / math.sqrt(values.size)
-    se2 = float(np.std(squares, ddof=1)) / math.sqrt(values.size)
+    se1 = sd1 / math.sqrt(values.size)
+    se2 = sd2 / math.sqrt(values.size)
     slack = 3.0 * (se2 / m2 + 2.0 * se1 / m1)
     bound2 = 2 ** (2 * margins.total)
     rho = margins.rho

@@ -51,10 +51,14 @@ def derive_seed(seed: int, index: int) -> int:
 
 
 def _mix_block(x: np.ndarray) -> np.ndarray:
-    """Vectorized mix64 over a uint64 array."""
-    x = (x ^ (x >> np.uint64(30))) * np.uint64(_MIX1)
-    x = (x ^ (x >> np.uint64(27))) * np.uint64(_MIX2)
-    return x ^ (x >> np.uint64(31))
+    """Vectorized mix64 over a uint64 array, in place: x must be an array the
+    caller allocated for it.  Each step holds one shift temporary."""
+    x ^= x >> np.uint64(30)
+    x *= np.uint64(_MIX1)
+    x ^= x >> np.uint64(27)
+    x *= np.uint64(_MIX2)
+    x ^= x >> np.uint64(31)
+    return x
 
 
 def _raw_matrix(seeds: np.ndarray, columns: int, start: int = 0) -> np.ndarray:
@@ -63,7 +67,8 @@ def _raw_matrix(seeds: np.ndarray, columns: int, start: int = 0) -> np.ndarray:
     if columns < 0:
         raise ValueError("count must be non-negative")
     idx = np.arange(start + 1, start + columns + 1, dtype=np.uint64)
-    return _mix_block(seeds[:, None].astype(np.uint64) + idx[None, :] * np.uint64(_GAMMA))
+    idx *= np.uint64(_GAMMA)
+    return _mix_block(seeds[:, None].astype(np.uint64) + idx[None, :])
 
 
 def derive_seed_block(seed: int, count: int, start: int = 0) -> np.ndarray:
@@ -74,15 +79,21 @@ def derive_seed_block(seed: int, count: int, start: int = 0) -> np.ndarray:
     """
     if start < 0:
         raise ValueError("start must be non-negative")
-    idx = np.arange(start + 1, start + count + 1, dtype=np.uint64)
-    tags = _mix_block(idx * np.uint64(_SPLIT))
-    return _mix_block(np.uint64(seed & MASK64) ^ tags)
+    tags = np.arange(start + 1, start + count + 1, dtype=np.uint64)
+    tags *= np.uint64(_SPLIT)
+    tags = _mix_block(tags)
+    tags ^= np.uint64(seed & MASK64)
+    return _mix_block(tags)
 
 
 def uniform_matrix(seeds: np.ndarray, columns: int, start: int = 0) -> np.ndarray:
     """Doubles in [0, 1) with 53 random bits each.  Row i of this and every
     matrix draw below reads positions start .. start+columns-1 of seeds[i]."""
-    return (_raw_matrix(seeds, columns, start) >> np.uint64(11)).astype(np.float64) * _INV_2_53
+    raw = _raw_matrix(seeds, columns, start)
+    raw >>= np.uint64(11)
+    out = raw.astype(np.float64)
+    out *= _INV_2_53
+    return out
 
 
 def integer_matrix(seeds: np.ndarray, columns: int, upper: int, start: int = 0) -> np.ndarray:
@@ -95,7 +106,10 @@ def integer_matrix(seeds: np.ndarray, columns: int, upper: int, start: int = 0) 
 def exponential_matrix(seeds: np.ndarray, columns: int, start: int = 0) -> np.ndarray:
     """Standard exponential variates via inversion."""
     # -log1p(-u) is exact for u near 0 and finite for all u < 1
-    return -np.log1p(-uniform_matrix(seeds, columns, start))
+    g = uniform_matrix(seeds, columns, start)
+    np.negative(g, out=g)
+    np.log1p(g, out=g)
+    return np.negative(g, out=g)
 
 
 def truncated_exponential_matrix(

@@ -392,3 +392,38 @@ def test_fisher_yates_at_large_n_reduces_one_fraction():
     value = fisher_yates_count(m)
     assert time.process_time() - start < 2.0
     assert value == Fraction(math.comb(100000, 50000), math.factorial(50000) ** 2)
+
+
+def _integer_log_bekessy(m):
+    # the log through the exact integers N! and prod of margin factorials
+    return math.log(math.factorial(m.total)) - math.log(m.divisor()) + counting._bekessy_exponent(m)
+
+
+def test_bekessy_log_estimate_matches_the_integer_logs():
+    grid = [Margins(rows, cols)
+            for total in range(1, 9)
+            for rparts in range(1, 4)
+            for cparts in range(1, 4)
+            for rows in positive_compositions(total, rparts) if total >= rparts
+            for cols in positive_compositions(total, cparts) if total >= cparts]
+    grid += [Margins([100, 1], [101]), Margins([50, 50], [25] * 4), Margins([999, 1000], [1999]),
+             Margins([3] * 40, [4] * 30), Margins([1] * 300, [1] * 300)]
+    for m in grid:
+        assert math.isclose(bekessy_log_estimate(m), _integer_log_bekessy(m), rel_tol=1e-12), m
+
+
+def test_bekessy_log_estimate_builds_no_factorial(monkeypatch):
+    m = Margins([50000, 50000], [50000, 50000])
+    want = _integer_log_bekessy(m)
+
+    def no_factorials(n):
+        raise AssertionError("a factorial was built")
+
+    monkeypatch.setattr(counting, "factorial", no_factorials)
+    elapsed = []
+    for _ in range(3):
+        start = time.perf_counter()
+        got = bekessy_log_estimate(m)
+        elapsed.append(time.perf_counter() - start)
+    assert math.isclose(got, want, rel_tol=1e-12)
+    assert min(elapsed) < 0.01

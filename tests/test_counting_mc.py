@@ -4,9 +4,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from tablecount import counting
 from tablecount.errors import EnumerationBudgetError, PermanentSizeError, ValidationError
 from tablecount.rng import DRAW_BUDGET, derive_seed_block, exponential_matrix
+from tablecount.permanent import permanent_float_batch
 from tablecount.counting import (
+    Z_95,
     Margins,
     WeightMatrix,
     chebyshev_sample_count,
@@ -181,3 +184,118 @@ def test_variance_report_overflow_exponent_reported():
     assert rep.rho == 3
     assert rep.bound_part3_exponent == pytest.approx(9 * math.factorial(6))
     assert rep.bound_part3 is None
+
+
+def _gathered_sample_values(margins, num_samples, seed, weights=None, chunk_size=16384):
+    # the reference feed: a (batch, row, column) block array gathered from the
+    # cells by advanced indexing, then the float kernel
+    m, n = margins.num_rows, margins.num_cols
+    row_of = np.repeat(np.arange(m), margins.row_sums)
+    col_of = np.repeat(np.arange(n), margins.col_sums)
+    out = np.empty(num_samples)
+    for start in range(0, num_samples, chunk_size):
+        stop = min(start + chunk_size, num_samples)
+        cells = exponential_matrix(derive_seed_block(seed, stop - start, start), m * n).reshape(-1, m, n)
+        if weights is not None:
+            cells = cells * weights.to_numpy()
+        out[start:stop] = permanent_float_batch(cells[:, row_of][:, :, col_of])
+    return out
+
+
+FEED_MARGINS = [
+    ([1], [1]),
+    ([1, 1], [2]),
+    ([2, 1], [1, 1, 1]),
+    ([2, 2], [2, 2]),
+    ([3, 2], [1, 1, 1, 1, 1]),
+    ([1] * 6, [1] * 6),
+    ([3, 3, 1], [2, 2, 3]),
+    ([4, 4], [2, 2, 2, 2]),
+    ([3, 3, 3], [3, 3, 3]),
+    ([5, 5], [4, 3, 3]),
+    ([6, 5], [11]),
+    ([4, 4, 4], [4, 4, 4]),
+]
+
+
+@pytest.mark.parametrize("rows, cols", FEED_MARGINS)
+def test_sample_values_match_the_gathered_reference(rows, cols):
+    m = Margins(rows, cols)
+    # at N = 8, 5000 samples take two default chunks of 4096
+    samples = 5000 if m.total <= 8 else 300
+    want = _gathered_sample_values(m, samples, 21)
+    assert np.array_equal(mc_sample_values(m, samples, 21), want)
+    for chunk_size in (7, 2049):
+        assert np.array_equal(mc_sample_values(m, samples, 21, chunk_size=chunk_size), want)
+    if m.total <= 8:
+        w = WeightMatrix([[0.25 + 0.5 * i + 0.3 * j for j in range(len(cols))] for i in range(len(rows))])
+        got = mc_sample_values(m, 3000, 22, weights=w, chunk_size=999)
+        assert np.array_equal(got, _gathered_sample_values(m, 3000, 22, w))
+
+
+def test_default_chunk_holds_at_most_2_18_entries(monkeypatch):
+    shapes = []
+    kernel = counting.permanent_float_batch
+
+    def recording(blocks):
+        # the kernel's (column, row, batch) layout, handed over as a view
+        assert blocks.transpose(2, 1, 0).flags.c_contiguous
+        shapes.append(blocks.shape[0])
+        return kernel(blocks)
+
+    monkeypatch.setattr(counting, "permanent_float_batch", recording)
+    cases = [
+        (Margins([1], [1]), 40000, [16384, 16384, 7232]),
+        (Margins([4, 4], [2, 2, 2, 2]), 10000, [4096, 4096, 1808]),
+        (Margins([3, 3], [2, 2, 2]), 8000, [7281, 719]),
+        # N = 12 and above: one solve of at most 2000 samples is one chunk
+        (Margins([4, 4, 4], [4, 4, 4]), 2000, [2000]),
+        (Margins([4, 4, 4], [4, 4, 4]), 2049, [2048, 1]),
+    ]
+    for m, samples, want in cases:
+        shapes.clear()
+        mc_sample_values(m, samples, 5)
+        assert shapes == want
+
+
+def test_estimate_and_variance_report_match_numpy_statistics():
+    for rows, cols, samples in (([1, 1], [1, 1], 2), ([2, 1], [1, 1, 1], 3), ([2, 2], [2, 2], 30001)):
+        m = Margins(rows, cols)
+        values = mc_sample_values(m, samples, 8)
+        divisor = float(m.divisor())
+        mean = float(np.mean(values)) / divisor
+        std_err = float(np.std(values, ddof=1)) / (divisor * math.sqrt(samples))
+        est = mc_estimate_count(m, samples, 8)
+        assert (est.mean, est.std_err, est.ci_low, est.ci_high) == (
+            mean, std_err, mean - Z_95 * std_err, mean + Z_95 * std_err)
+        squares = values * values
+        m1, m2 = float(np.mean(values)), float(np.mean(squares))
+        se1 = float(np.std(values, ddof=1)) / math.sqrt(samples)
+        se2 = float(np.std(squares, ddof=1)) / math.sqrt(samples)
+        rep = variance_ratio_report(m, samples, 8)
+        assert rep.empirical_ratio == m2 / (m1 * m1)
+        assert rep.slack == 3.0 * (se2 / m2 + 2.0 * se1 / m1)
+
+
+def test_sample_values_peak_memory_is_a_few_chunks():
+    # N = 8 takes 4096 samples a chunk: a 2 MiB block array and the 0.8 MB
+    # output, where the gathered feed peaked near 22 MiB
+    tracemalloc.start()
+    try:
+        mc_sample_values(Margins([4, 4], [2, 2, 2, 2]), 100000, 11)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2**20
+
+
+def test_estimate_takes_its_standard_error_in_place():
+    # np.std's steps run on the values themselves: no second full-length array
+    samples = 10**6
+    tracemalloc.start()
+    try:
+        mc_estimate_count(Margins([1], [1]), samples, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12 * samples

@@ -1,7 +1,17 @@
 import numpy as np
 import pytest
 
-from tablecount.rng import MASK64, SplitMix64Stream, derive_seed, derive_seed_block, mix64
+from tablecount.rng import (
+    MASK64,
+    SplitMix64Stream,
+    derive_seed,
+    derive_seed_block,
+    exponential_matrix,
+    integer_matrix,
+    mix64,
+    truncated_exponential_matrix,
+    uniform_matrix,
+)
 
 
 def test_mix64_matches_vector_path():
@@ -93,3 +103,38 @@ def test_derive_seed_block_offset_continues_the_block():
     assert int(derive_seed_block(31, 1, 2**40)[0]) == derive_seed(31, 2**40)
     with pytest.raises(ValueError):
         derive_seed_block(31, 3, -1)
+
+
+def _reference_mix_block(x):
+    x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return x ^ (x >> np.uint64(31))
+
+
+def _reference_uniform(seeds, columns, start):
+    # the draws with one temporary per operation, as a reference for the in-place code
+    idx = np.arange(start + 1, start + columns + 1, dtype=np.uint64)
+    raw = _reference_mix_block(seeds[:, None].astype(np.uint64) + idx[None, :] * np.uint64(0x9E3779B97F4A7C15))
+    return (raw >> np.uint64(11)).astype(np.float64) * 2.0**-53
+
+
+def test_in_place_draws_keep_the_seeds_and_the_values():
+    seeds = derive_seed_block(2024, 37, 5)
+    kept = seeds.copy()
+    idx = np.arange(6, 43, dtype=np.uint64) * np.uint64(0xC2B2AE3D27D4EB4F)
+    assert np.array_equal(seeds, _reference_mix_block(np.uint64(2024) ^ _reference_mix_block(idx)))
+    assert [int(s) for s in seeds] == [derive_seed(2024, 5 + i) for i in range(37)]
+    for start in (0, 4):
+        u = _reference_uniform(seeds, 13, start)
+        assert np.array_equal(uniform_matrix(seeds, 13, start), u)
+        assert np.array_equal(exponential_matrix(seeds, 13, start), -np.log1p(-u))
+        assert np.array_equal(integer_matrix(seeds, 13, 7, start),
+                              np.minimum((u * 7).astype(np.int64), 6))
+        g = -np.log1p(-u)
+        assert np.array_equal(truncated_exponential_matrix(seeds, 13, 0.7, start),
+                              np.where(g <= 0.7, g, 0.0))
+    # the first row by the scalar finalizer, independent of any array code
+    first = [(mix64((int(seeds[0]) + k * 0x9E3779B97F4A7C15) & MASK64) >> 11) * 2.0**-53
+             for k in range(1, 14)]
+    assert uniform_matrix(seeds, 13).tolist()[0] == first
+    assert np.array_equal(seeds, kept)

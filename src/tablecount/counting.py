@@ -22,8 +22,9 @@ Entry points by family:
   count off the coefficient of x^c (c = column sums) in the product of the
   row factors, carrying a multiplicative (1 +/- eps)^N guarantee band.
 
-Weighted exact and every low-rank variant build row-factor tables here and
-read their coefficient off the engine ``polynomial.box_coefficient``.
+The dense pass, weighted exact and every low-rank variant build their row
+factors here (per-axis series, or tables for the sampled families) and read
+their coefficient off the one engine ``polynomial.box_coefficient``.
 
 All randomized paths are deterministic functions of their seed: sample i uses
 the child seed derive_seed(seed, i), so chunked or parallel evaluation cannot
@@ -60,14 +61,14 @@ from .lowrank import (
 )
 from .permanent import DEFAULT_SIZE_LIMIT, permanent_float_batch
 from .polynomial import (
-    BOX_CELL_LIMIT,
+    BOX_STEP_BUDGET,
     DEFAULT_TERM_CAP,
+    AxisRow,
     Coeff,
     box_coefficient,
     box_work,
     bounded_compositions,
     factorial,
-    monomials,
     parse_coeff,
 )
 from .rng import DRAW_BUDGET, derive_seed, derive_seed_block, exponential_matrix
@@ -315,113 +316,38 @@ def _line_count(lines: Sequence[int], state: Sequence[int], cap: int | None,
     return count(0, tuple(sorted(state)))
 
 
-# The dense pass's cost model, in int64 element operations: the fixed cost of
-# one numpy call, of each run a cumsum takes along an axis, and the cost of an
-# element of an object array; and the operations that take as long as one
-# node of the sorted DP.  Fitted on a 2-core x86 machine, Python 3.11, numpy
-# 2.4: about 1.5 ns an operation, against 1.5 us a node on (10^4)x(10^4).
-_CALL_OPS = 1800
-_RUN_OPS = 14
-_OBJECT_OPS = 10
+# box_work's operations per node of the sorted DP: about 1.5 us each (2-core x86)
 _OPS_PER_NODE = 1000
 
 
-def _cells(sums: Sequence[int]) -> int:
-    """Cells of the box 0 <= v_j <= sums_j, or BOX_CELL_LIMIT + 1 once past it."""
-    cells = 1
-    for s in sums:
-        cells *= s + 1
-        if cells > BOX_CELL_LIMIT:
-            break
-    return cells
-
-
-def _dense_cost(box: Sequence[int], lines: Sequence[int], zero_one: bool,
-                node_budget: int) -> int | None:
-    """Node-equivalents of _dense_count(box, lines, zero_one), or None past
-    node_budget or past BOX_CELL_LIMIT cells.
-
-    A line makes n + 3 passes over the cells of the n-axis box, each a numpy
-    call: one per axis, then two that find and zero the cells off the running
-    total and one that sums the state; a cumsum also pays for each of its runs
-    along the axis.  A line's moves from one state number at most
-    C(r + n - 1, n - 1), or C(n, r) for 0-1 counts, so their product bounds
-    the array total; lines from the first whose bound times the cells reaches
-    2^63 are charged as object arrays.
-    """
-    cells = _cells(box)
-    if cells > BOX_CELL_LIMIT:
-        return None
-    n = len(box)
-    elements = (n + 3) * cells
-    runs = 0 if zero_one else _RUN_OPS * sum(cells // (s + 1) for s in box)
-    ops = len(lines) * (elements + runs + (n + 3) * _CALL_OPS)
-    if ops > node_budget * _OPS_PER_NODE:
-        return None
-    total = 1
-    for k, r in enumerate(lines):
-        if total * cells >= 1 << 63:
-            ops += (len(lines) - k) * elements * (_OBJECT_OPS - 1)
-            break
-        total *= math.comb(n, r) if zero_one else math.comb(r + n - 1, n - 1)
-    cost = -(-ops // _OPS_PER_NODE)
-    return None if cost > node_budget else cost
-
-
-def _dense_count(box: Sequence[int], lines: Sequence[int], zero_one: bool) -> int:
-    """Tables with line sums lines whose other side has sums box, entries at
-    most 1 when zero_one, on one array over the box 0 <= v_j <= box_j of the
-    other side's sums so far.
-
-    A line moves the count at u to every v >= u of degree r more: an in-place
-    cumsum along each axis sums the counts below each cell, or for 0-1 counts
-    one shifted add per axis puts 0 or 1 in each entry; then the cells off the
-    running total are zeroed.  The count is the cell at box.  Entries stay at
-    most the array total, which a line raises at most by a factor of the
-    cells, so the array is int64 while total times cells is below 2^63 and
-    holds Python ints after.
-    """
-    shape = tuple(s + 1 for s in box)
-    cells = math.prod(shape)
-    degree = sum(np.arange(k).reshape((k,) + (1,) * (len(shape) - 1 - j))
-                 for j, k in enumerate(shape))
-    state = np.zeros(shape, dtype=np.int64)
-    state[(0,) * len(shape)] = 1
-    done = 0
-    for r in lines:
-        if state.dtype != object and int(state.sum()) * cells >= 1 << 63:
-            state = state.astype(object)
-        for j in range(len(shape)):
-            if zero_one:
-                head = (slice(None),) * j
-                state[head + (slice(1, None),)] += state[head + (slice(-1),)]
-            else:
-                np.cumsum(state, axis=j, out=state)
-        done += r
-        state[degree != done] = 0
-    return int(state[tuple(box)])
+def _cheaper_side(sides, budget: int = BOX_STEP_BUDGET):
+    """(work, box, rows) of the (box, rows) pair box_work counts fewer operations for."""
+    return min(((box_work(box, rows, budget), box, rows) for box, rows in sides), key=lambda side: side[0])
 
 
 def _count(lines: Sequence[int], state: Sequence[int], cap: int | None, node_budget: int) -> int:
     """The sorted line DP, or the dense pass where the DP would cost more.
 
-    Both are exact.  The dense pass runs over the side with fewer cells, as
-    counts do not change under transposing, and its cost D in nodes is known
-    before it runs.  The DP runs first within min(D, node_budget - D) nodes,
-    so the dense pass still fits the budget when the DP stops there; with no
-    dense cost (past the budget or the cell limit) the DP runs alone within
-    node_budget.  So margins are counted when either path fits the budget,
-    at about twice the cheaper path's cost at most.
+    Both are exact.  The dense pass is box_coefficient over the box of one
+    side's sums so far (counts do not change under transposing), with an
+    all-ones AxisRow per line of the other side, (1, 1) for 0-1 counts, on
+    the side box_work counts fewer operations for: D nodes.  The DP runs
+    first within min(D, node_budget - D) nodes, so the dense pass still fits
+    the budget when the DP stops there; with D past node_budget the DP runs
+    alone within node_budget.  So margins are counted when either path fits
+    the budget, at about twice the cheaper path's cost at most.
     """
-    zero_one = cap == 1
-    box, other = min((state, lines), (lines, state), key=lambda side: _cells(side[0]))
-    dense = _dense_cost(box, other, zero_one, node_budget)
-    if dense is None:
+    limit = node_budget * _OPS_PER_NODE
+    sides = [(box, [AxisRow(r, other.count(r), (1,) * len(box) if cap == 1 else tuple(box))
+                    for r in sorted(set(other))]) for box, other in ((state, lines), (lines, state))]
+    work, box, rows = _cheaper_side(sides, limit)
+    dense = -(-work // _OPS_PER_NODE)
+    if dense > node_budget:
         return _line_count(lines, state, cap, node_budget)
     try:
         return _line_count(lines, state, cap, min(dense, node_budget - dense))
     except EnumerationBudgetError:
-        return _dense_count(box, other, zero_one)
+        return box_coefficient(rows, _singletons(box), work_budget=limit)
 
 
 def exact_count_dp(margins: Margins, node_budget: int = DEFAULT_NODE_BUDGET) -> int:
@@ -681,43 +607,28 @@ def _check_counts(repeats: int, form_count: int | None) -> None:
         raise ValidationError("form count must be positive")
 
 
-def _exact_table(r: int, bounds: Sequence[int], wrow=None, scaled: bool = False):
-    """(a, prod_j f_j(a_j)) for every exponent vector a of degree r inside bounds.
-
-    The coefficient is 1 without a weight row; with one, f_j(e) is w_j^e, or
-    w_j^e / e! when scaled.  Factors are built by repeated multiplication, so a
-    float factor past the float range becomes inf where float ** int would
-    raise OverflowError, and a zero factor zeroes the coefficient instead of
-    meeting an inf factor as inf * 0 = nan.
-    """
-    expos = monomials(r, bounds)
-    if wrow is None:
-        return [(a, 1) for a in expos]
-    factors = []
-    for w, b in zip(wrow, bounds):
-        f = [1]
+def _series(wrow, r: int, box: Sequence[int], scaled: bool = False) -> List[List[Coeff]]:
+    """Per-axis series w_j^e, or w_j^e / e! (exact for exact w) when scaled,
+    for e <= min(box_j, r), by repeated multiplication: a float term past the
+    float range becomes inf where float ** int would raise OverflowError."""
+    out = []
+    for w, b in zip(wrow, box):
+        s = [Fraction(1) if scaled else 1]
         for e in range(1, min(b, r) + 1):
-            f.append(f[-1] * w / e if scaled else f[-1] * w)
-        factors.append(f)
-    table = []
-    for a in expos:
-        parts = [f[e] for f, e in zip(factors, a) if e]
-        table.append((a, 0 if 0 in parts else math.prod(parts)))
-    return table
+            s.append(s[-1] * w / e if scaled else s[-1] * w)
+        out.append(s)
+    return out
 
 
 def _family_table(kind: str, r: int, box: Sequence[int], epsilon: float, seed: int, forms: int,
                   wrow):
-    """(a, [x^a] factor) pairs of one row factor over the column variables,
-    for a inside box; an elementary box lies within (1, ..., 1).
+    """(a, [x^a] factor) pairs of one sampled row factor over the column
+    variables, for a inside box; an elementary box lies within (1, ..., 1).
 
-    With forms > 0 the factor is the sampled family drawn from seed: h~_r, or
-    e~_r for kind "elementary"; a weight row scales each form's coefficients.
-    With forms == 0 it is the exact polynomial, times prod w^a for a weight row.
+    The factor is a family of `forms` forms drawn from seed: h~_r, or e~_r
+    for kind "elementary"; a weight row scales each form's coefficients.
     """
     n = len(box)
-    if not forms:
-        return _exact_table(r, box, wrow)
     if kind == "elementary":
         return approx_coefficients(build_e_tilde(r, n, epsilon, seed, form_count=forms), box=box)
     approx = build_h_tilde(r, n, epsilon, seed, form_count=forms)
@@ -797,7 +708,8 @@ def _lowrank(
     for sub_seed in sub_seeds:
         factors = [
             (r, mult, table_box,
-             partial(_family_table, kind, r, table_box, epsilon, derive_seed(sub_seed, k), m, wrow))
+             partial(_family_table, kind, r, table_box, epsilon, derive_seed(sub_seed, k), m, wrow)) if m
+            else AxisRow(r, mult, table_box, None if wrow is None else partial(_series, wrow, r, table_box))
             for k, ((r, mult, wrow), m) in enumerate(zip(families, form_counts))
         ]
         value = box_coefficient(factors, column_sets)
@@ -821,27 +733,22 @@ def weighted_fy_count(margins: Margins, weights: WeightMatrix):
     """Sum over tables of prod w_ij^d_ij / d_ij!: the coefficient of x^c in
     prod_i (w_i . x)^{r_i} / r_i!.
 
-    Row i's table pairs each a of degree r_i inside the column box with
-    prod_j w_ij^a_j / a_j!, and one pass of the box dynamic program sums the
-    products over tables.  Exact weights give the exact value, with every
-    table cleared to integers; float values are sums of non-negative terms.
+    Row i is the AxisRow of the series w_ij^e / e! along each column j, and
+    one pass of the box dynamic program sums the products over tables.
+    Exact weights give the exact value, with every series cleared to
+    integers; float values are sums of non-negative terms.
 
     The sum is unchanged by transposing margins and weights, so the program
     runs over the rows or the columns, whichever box_work counts fewer
     element operations for.
     """
     _check_weight_shape(margins, weights)
-    exact = weights.is_exact()
-    entries = [[Fraction(w) for w in wrow] for wrow in weights.entries] if exact else weights.entries
-    sides = []
-    for rows, cols, wrows in ((margins.row_sums, margins.col_sums, entries),
-                              (margins.col_sums, margins.row_sums, list(zip(*entries)))):
-        factors = [(r, 1, cols, partial(_exact_table, r, cols, w, scaled=True))
-                   for r, w in zip(rows, wrows)]
-        sides.append((box_work(cols, factors), cols, factors))
-    _, cols, factors = min(sides, key=lambda side: side[0])
+    _, cols, factors = _cheaper_side([
+        (cols, [AxisRow(r, 1, cols, partial(_series, w, r, cols, scaled=True)) for r, w in zip(rows, wrows)])
+        for rows, cols, wrows in ((margins.row_sums, margins.col_sums, weights.entries),
+                                  (margins.col_sums, margins.row_sums, list(zip(*weights.entries))))])
     value = box_coefficient(factors, _singletons(cols))
-    return Fraction(value) if exact else float(value)
+    return value if isinstance(value, float) else Fraction(value)
 
 
 def lowrank_asymptotic_count(

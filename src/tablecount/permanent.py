@@ -1,11 +1,12 @@
 """Exact permanents and the Gram matrix construction built on them.
 
 An exact permanent is one coefficient of a product of row factors, so the
-box dynamic program of the polynomial module evaluates it, exactly for
-int/Fraction entries.  A batch variant evaluates many same-size float
-matrices at once for sampling loops by Ryser's inclusion-exclusion over
-column subsets in Gray-code order, with the batch on the last, contiguous
-axis; its per-matrix results do not depend on how the batch is chunked.
+box dynamic program of the polynomial module evaluates it, one series
+(1, M_ij) per column axis for each row, exactly for int/Fraction entries.  A
+batch variant evaluates many same-size float matrices at once for sampling
+loops by Ryser's inclusion-exclusion over column subsets in Gray-code order,
+with the batch on the last, contiguous axis; its per-matrix results do not
+depend on how the batch is chunked.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from typing import Sequence, Tuple
 
 from ._np import np
 from .errors import DimensionMismatchError, PermanentSizeError, ValidationError
-from .polynomial import Coeff, LinearForm, box_coefficient
+from .polynomial import AxisRow, Coeff, LinearForm, box_coefficient
 
 DEFAULT_SIZE_LIMIT = 22
 
@@ -22,11 +23,11 @@ DEFAULT_SIZE_LIMIT = 22
 def permanent_exact(matrix) -> Coeff:
     """Permanent as the coefficient of x_1 ... x_N in prod_i (sum_j M_ij x_j).
 
-    The box dynamic program over unit margins computes it: row i's table pairs
-    the unit vector e_j with M_ij, and a state is the set of columns used so
-    far.  Exact for int/Fraction entries; float sums of non-negative entries
-    do not cancel.  N^2 array adds over the 2^N states, O(N^2 * 2^N) element
-    operations; N above DEFAULT_SIZE_LIMIT fails loudly before work starts.
+    The box dynamic program over unit margins computes it: row i is the
+    AxisRow with series (1, M_ij) along axis j, and a state is the set of
+    columns used so far.  Exact for int/Fraction entries; float sums of
+    non-negative entries do not cancel.  N^2 shifted adds over the 2^N
+    states; N above DEFAULT_SIZE_LIMIT fails loudly before work starts.
     """
     rows = [tuple(row) for row in matrix]
     n = len(rows)
@@ -36,8 +37,7 @@ def permanent_exact(matrix) -> Coeff:
         raise PermanentSizeError(
             f"matrix size {n} exceeds limit {DEFAULT_SIZE_LIMIT}", limit=DEFAULT_SIZE_LIMIT
         )
-    units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
-    factors = [(1, 1, (1,) * n, lambda row=row: zip(units, row)) for row in rows]
+    factors = [AxisRow(1, 1, (1,) * n, lambda row=row: [(1, m) for m in row]) for row in rows]
     return box_coefficient(factors, [frozenset((1,))] * n)
 
 

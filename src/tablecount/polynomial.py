@@ -8,10 +8,10 @@ Coefficients are dual-mode: ``int``/``Fraction`` for exact identities, plain
 floats for randomized estimates.  Mixing exact and float operands silently
 degrades to float, which is the intended behaviour.
 
-``box_coefficient`` reads one coefficient of a product of factors, each given
-as a table of its own coefficients, from one dense array of partial sums.
-Exact permanents, weighted exact counts and every low-rank count use it,
-within ``BOX_STEP_BUDGET`` element operations and ``BOX_CELL_LIMIT`` cells.
+``box_coefficient`` reads one coefficient of a product of row factors from one
+dense array of partial sums, within ``BOX_STEP_BUDGET`` element operations and
+``BOX_CELL_LIMIT`` cells: per-axis series (``AxisRow``) for exact factors, and
+tables of coefficients for the sampled low-rank families, which do not factor.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import math
 import numbers
 from fractions import Fraction
 from operator import le
-from typing import Dict, Iterator, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterator, NamedTuple, Sequence, Tuple, Union
 
 from ._np import np
 from .errors import DimensionMismatchError, EnumerationBudgetError, TermBudgetError, ValidationError
@@ -34,6 +34,10 @@ DEFAULT_ENUMERATION_BUDGET = 2 * 10**6
 # 2^22 of 22 unit rows and columns, the costliest and largest margins, N <= 22
 BOX_STEP_BUDGET = 12 * 10**8
 BOX_CELL_LIMIT = 1 << 22
+# box_work's cost of a numpy call and of each run a cumsum takes along its axis,
+# in element operations of ~1.5 ns, fitted on 77 counts (2-core x86, numpy 2.4)
+BOX_CALL_OPS = 4500
+BOX_RUN_OPS = 14
 
 
 def factorial(n: int) -> int:
@@ -153,79 +157,167 @@ def monomials(
     return bounded_compositions(r, bounds)
 
 
-def box_work(bound: Sequence[int], factors: Sequence[tuple]) -> int:
-    """Element operations box_coefficient takes with its states inside bound,
-    past BOX_STEP_BUDGET once over it or for a box past BOX_CELL_LIMIT cells.
+class AxisRow(NamedTuple):
+    """Row factor [t^r] prod_j S_j(t x_j) of box_coefficient, applied mult
+    times, where S_j(u) = sum_e s_j(e) u^e over e <= min(box_j, r).
+    series() returns the s_j, or series is None when every s_j(e) is 1."""
 
-    A step fills the box's cells, and entry a adds a slice of prod_j
-    (bound_j + 1 - a_j) cells: over the degree-r entries, [x^r] prod_j
-    sum_e (bound_j + 1 - e) x^e.  Exact factors f_j(e), e up to m = min(box_j, r),
-    grow by up to log2(e) bits a step, so building them counts m(m+1)/2 * bits(m).
+    r: int
+    mult: int
+    box: Tuple[int, ...]
+    series: Callable[[], Sequence[Sequence[Coeff]]] | None = None
+
+
+def _is_cumsum(b: int, c: int, r: int, ones: bool) -> bool:
+    """Whether an axis of bound b takes all-ones s(0..min(c, r)) as a cumsum, which
+    the degree mask trims past min(b, r); 2 terms are a shifted add, with no runs."""
+    return ones and 2 <= min(b, r) <= c
+
+
+def box_work(bound: Sequence[int], factors: Sequence[tuple], budget: int = BOX_STEP_BUDGET) -> int:
+    """Element operations box_coefficient takes with its states inside bound,
+    past budget once over it or for a box past BOX_CELL_LIMIT cells; numpy is
+    used only for tables.
+
+    Exact series s(e), e up to m = min(box_j, r), grow by up to log2(e) bits
+    a step, so building a row counts m(m+1)/2 * bits(m) per axis.  An AxisRow
+    application counts per axis a cumsum and its runs, or a copy of the
+    states for a series longer than 2 and a shifted multiply-add over the
+    cells past e for each e; then, but for the last, a degree mask.  A table
+    step fills the cells, and entry a adds a slice of prod_j (bound_j + 1 -
+    a_j) cells: [x^r] prod_j sum_e (bound_j + 1 - e) x^e over degree r.
     """
     cells = math.prod(b + 1 for b in bound)
     if cells > BOX_CELL_LIMIT:
-        return BOX_STEP_BUDGET + 1
+        return budget + 1
     work = 0
-    for r, mult, box, _ in factors:
-        slices = np.ones(1, dtype=np.int64)
-        for b, c in zip(bound, box):
-            slices = np.convolve(slices, np.arange(b + 1, b - min(b, c, r), -1))[:r + 1]
+    for k, (r, mult, box, build) in enumerate(factors):
         work += sum(m * (m + 1) // 2 * m.bit_length() for m in (min(b, r) for b in box))
-        work += mult * (cells + (int(slices[r]) if r < slices.size else 0))
-        if work > BOX_STEP_BUDGET:
+        if isinstance(factors[k], AxisRow):
+            step = cells + BOX_CALL_OPS
+            for b, c in zip(bound, box):
+                m = min(b, c, r)
+                if _is_cumsum(b, c, r, build is None):
+                    step += cells + BOX_RUN_OPS * (cells // (b + 1)) + BOX_CALL_OPS
+                elif m:
+                    slices = cells // (b + 1) * (m * (b + 1) - m * (m + 1) // 2)
+                    step += (cells if m > 1 else 0) + slices + m * BOX_CALL_OPS
+            work += mult * step - (cells + BOX_CALL_OPS if k == len(factors) - 1 else 0)
+        else:
+            slices = np.ones(1, dtype=np.int64)
+            for b, c in zip(bound, box):
+                slices = np.convolve(slices, np.arange(b + 1, b - min(b, c, r), -1))[:r + 1]
+            work += mult * (cells + (int(slices[r]) if r < slices.size else 0))
+        if work > budget:
             return work
     return work
 
 
-def box_coefficient(factors: Sequence[tuple], column_sets: Sequence[frozenset]) -> Coeff:
+def _times(c: Coeff, states):
+    """c times the states, where a zero state times an infinite c adds nothing."""
+    if c == 1:
+        return states
+    term = c * states
+    if c == math.inf:
+        term[states == 0] = 0
+    return term
+
+
+def _axis_pass(state, axis: int, s: Sequence[Coeff], cumsum: bool):
+    """new[v] = sum_e s[e] state[v - e] along the axis, cut at the box: the
+    states times sum_e s[e] x_axis^e, as one cumsum when cumsum is set."""
+    if cumsum:
+        return state.cumsum(axis, out=state)
+    lead = (slice(None),) * axis
+    out = state if len(s) == 2 and s[0] == 1 else state * s[0]
+    for e in range(1, len(s)):
+        if s[e]:
+            high = out[lead + (slice(e, None),)]
+            np.add(high, _times(s[e], state[lead + (slice(-e),)]), out=high)
+    return out
+
+
+def box_coefficient(factors: Sequence[tuple], column_sets: Sequence[frozenset],
+                    work_budget: int = BOX_STEP_BUDGET) -> Coeff:
     """Sum over end vectors v with v_j in column_sets[j] of [x^v] prod factor^mult.
 
-    Each factor is (degree r, mult, table box, build), and build() returns its
-    (a, coefficient) pairs, a of degree r inside the table box.  The states of
-    a dynamic program over the column sums used so far (Gail and Mantel) fill
-    one array over the box 0 <= v_j <= max(column_sets[j]); entry a adds its
-    coefficient times the states up to bound - a into the cells from a on.
-    Past BOX_CELL_LIMIT or BOX_STEP_BUDGET it raises before any builder runs.
-    The array is float64 if a coefficient is a float (a zero state times inf
-    adds nothing), else Python ints over each table's common denominator q.
+    The states of a dynamic program over the column sums used so far (Gail
+    and Mantel) fill one array over the box 0 <= v_j <= max(column_sets[j]).
+    An AxisRow's series act along each axis in turn, then the cells off the
+    running degree are zeroed.  A float table (degree r, mult, table box,
+    build) has build() return its (a, coefficient) pairs, a of degree r
+    inside the table box; entry a adds its coefficient times the states up to
+    bound - a into the cells from a on.  Past BOX_CELL_LIMIT cells or
+    work_budget element operations it raises before anything is built.
+
+    The array is float64 if there is a table or a float coefficient.  Else
+    each axis's series is cleared to integers by its common denominator, and
+    the array holds int64 until sum |state| times prod_j sum_e |s_j(e)|, a
+    bound on every entry after the next row, reaches 2^63, then Python ints.
     """
     bound = tuple(max(allowed, default=0) for allowed in column_sets)
     cells = math.prod(b + 1 for b in bound)
     if cells > BOX_CELL_LIMIT:
         raise EnumerationBudgetError(f"box of {cells} cells exceeds the limit {BOX_CELL_LIMIT}",
                                      limit=BOX_CELL_LIMIT)
-    if box_work(bound, factors) > BOX_STEP_BUDGET:
-        raise EnumerationBudgetError(f"box engine would exceed {BOX_STEP_BUDGET} element operations",
-                                     limit=BOX_STEP_BUDGET)
-    tables = [[(a, c) for a, c in build() if c and all(map(le, a, bound))] for *_, build in factors]
-    coeffs = [c for table in tables for _, c in table]
-    exact = all(isinstance(c, numbers.Rational) for c in coeffs)
-    denominator = 1
-    for k, table in enumerate(tables if exact else ()):
-        q = math.lcm(*(c.denominator for _, c in table))
-        tables[k] = [(a, int(c.numerator) * (q // c.denominator)) for a, c in table]
-        denominator *= q ** factors[k][1]
-    state = np.zeros(tuple(b + 1 for b in bound), dtype=object if exact else np.float64)
+    if box_work(bound, factors, work_budget) > work_budget:
+        raise EnumerationBudgetError(f"box engine would exceed {work_budget} element operations",
+                                     limit=work_budget)
+    series = {k: [[1] * (min(b, c, r) + 1) for b, c in zip(bound, box)] if build is None
+              else [s[:min(b, r) + 1] for s, b in zip(build(), bound)]
+              for k, (r, _, box, build) in enumerate(factors) if isinstance(factors[k], AxisRow)}
+    exact = len(series) == len(factors) and all(isinstance(c, numbers.Rational) for k, form in series.items()
+                                                if factors[k].series for s in form for c in s)
+    denominator, steps = 1, []
+    for k, (r, mult, box, build) in enumerate(factors):
+        if k not in series:
+            step = [(tuple(slice(e, None) for e in a), tuple(slice(b + 1 - e) for b, e in zip(bound, a)),
+                     float(c)) for a, c in build() if c and all(map(le, a, bound))]
+        else:
+            passes, growth = [], 1
+            for axis, (s, b, c) in enumerate(zip(series[k], bound, box)):
+                if build is not None:
+                    q = math.lcm(*(x.denominator for x in s)) if exact else 1
+                    s = [int(x.numerator) * (q // x.denominator) if exact else float(x) for x in s]
+                    denominator *= q ** mult
+                growth *= sum(map(abs, s))
+                if s != [1]:
+                    passes.append((axis, s, _is_cumsum(b, c, r, build is None)))
+            step = passes, growth
+        steps += [(k in series, r, step)] * mult
+    state = np.zeros(tuple(b + 1 for b in bound), dtype=np.int64 if exact else np.float64)
     state[(0,) * len(bound)] = 1
+    degree = sum(np.arange(b + 1, dtype=np.int32).reshape((-1,) + (1,) * (len(bound) - 1 - j))
+                 for j, b in enumerate(bound)) if series else None
+    done, size = 0, 1  # size bounds sum |state| while the array is int64
     with np.errstate(over="ignore", invalid="ignore"):
-        for (_, mult, _, _), table in zip(factors, tables):
-            moves = [(tuple(slice(e, None) for e in a), tuple(slice(b + 1 - e) for b, e in zip(bound, a)),
-                      c if exact else float(c)) for a, c in table]
-            for _ in range(mult):
-                nxt = np.zeros_like(state)
-                for dst, src, c in moves:
-                    term = c * state[src]
-                    if c == math.inf:
-                        term[state[src] == 0] = 0
-                    nxt[dst] += term
-                state = nxt
-    # one take per axis gathers the same array as state[np.ix_(...)] at about half the cost
-    for axis, allowed in enumerate(column_sets):
-        state = state.take(sorted(allowed), axis=axis)
+        for k, (per_axis, r, step) in enumerate(steps):
+            done += r
+            if not per_axis:
+                state, nxt = np.zeros_like(state), state
+                for dst, src, c in step:
+                    state[dst] += _times(c, nxt[src])
+                continue
+            passes, growth = step
+            if state.dtype == np.int64 and size * growth >= 1 << 63:
+                size = int(state.sum() - 2 * state[state < 0].sum())  # no |state| copy
+                if size * growth >= 1 << 63:
+                    state = state.astype(object)
+            size *= growth
+            for axis, s, cumsum in passes:
+                state = _axis_pass(state, axis, s, cumsum)
+            if k < len(steps) - 1:
+                state[degree != done] = 0
+    # one take per axis gathers the same array as state[np.ix_(*picks)] at about half the cost
+    picks = [sorted(allowed) for allowed in column_sets]
+    for axis, pick in enumerate(picks):
+        state = state.take(pick, axis=axis)
+    if series:  # the cells off the running degree, which the last row leaves
+        state[sum(np.ix_(*picks)) != done] = 0
     total = state.sum()
     if not exact:
         return float(total)
-    return total if all(isinstance(c, numbers.Integral) for c in coeffs) else Fraction(total, denominator)
+    return int(total) if denominator == 1 else Fraction(int(total), denominator)
 
 
 class SparsePolynomial:

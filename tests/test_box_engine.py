@@ -12,7 +12,8 @@ from tablecount import counting
 from tablecount.counting import (
     Margins,
     WeightMatrix,
-    _exact_table,
+    _line_count,
+    _series,
     exact_count_dp,
     lowrank_asymptotic_count,
     weighted_count_bruteforce,
@@ -23,6 +24,7 @@ from tablecount.permanent import permanent_exact
 from tablecount.polynomial import (
     BOX_CELL_LIMIT,
     BOX_STEP_BUDGET,
+    AxisRow,
     bounded_compositions,
     box_coefficient,
     box_work,
@@ -59,13 +61,28 @@ def test_engine_matches_oracles_on_random_inputs():
         rationals = [[Fraction(rng.randint(-4, 6), rng.randint(1, 5)) for _ in range(n)]
                      for _ in range(n)]
         assert permanent_exact(rationals) == naive_permanent(rationals)
+        for box, lines in ((m.col_sums, m.row_sums), (m.row_sums, m.col_sums)):
+            ends = [frozenset((s,)) for s in box]
+            plain = box_coefficient([AxisRow(r, 1, box) for r in lines], ends)
+            zero_one = box_coefficient([AxisRow(r, 1, (1,) * len(box)) for r in lines], ends)
+            assert plain == _line_count(lines, box, None, 10**7), (box, lines)
+            assert zero_one == _line_count(lines, box, 1, 10**7), (box, lines)
+
+
+def test_signed_permanent_past_int64_switches_on_absolute_sums():
+    # rows 1 and 2 treat columns 0 and 1 alike, so row 0's a and -a cancel in
+    # the sum of every state before the last row; the entries reach 2^69
+    a, b, d = 2**20, 2**14, 2**20
+    matrix = [[a, -a, 0, 0], [b] * 4, [b] * 4, [0, d, b, b]]
+    assert naive_permanent(matrix) == 2 * a * b * b * d >= 1 << 63
+    assert permanent_exact(matrix) == naive_permanent(matrix)
 
 
 def test_zero_state_times_infinite_coefficient_adds_nothing():
     # row 1's scaled factors overflow to inf; only the state (0, 1) is reached
     # before it, and the empty cells it meets must not turn inf into nan
     rows, cols, weights = [1, 2], (2, 1), [[0.0, 1.0], [1e200, 1e200]]
-    factors = [(r, 1, cols, lambda r=r, w=w: _exact_table(r, cols, w, scaled=True))
+    factors = [AxisRow(r, 1, cols, lambda r=r, w=w: _series(w, r, cols, scaled=True))
                for r, w in zip(rows, weights)]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -75,8 +92,8 @@ def test_zero_state_times_infinite_coefficient_adds_nothing():
 def test_repeated_exact_factor_keeps_its_denominator():
     # (x/2 + y/3)^2 (x + 2y) = (x^2/4 + xy/3 + y^2/9)(x + 2y): [x^2 y] = 1/2 + 1/3,
     # [x y^2] = 2/3 + 1/9
-    half_third = (1, 2, (1, 1), lambda: [((1, 0), Fraction(1, 2)), ((0, 1), Fraction(1, 3))])
-    line = (1, 1, (1, 2), lambda: [((1, 0), 1), ((0, 1), 2)])
+    half_third = AxisRow(1, 2, (1, 1), lambda: [(1, Fraction(1, 2)), (1, Fraction(1, 3))])
+    line = AxisRow(1, 1, (1, 1), lambda: [(1, 1), (1, 2)])
     assert box_coefficient([half_third, line], [frozenset((2,)), frozenset((1,))]) == Fraction(5, 6)
     assert box_coefficient([half_third, line], [frozenset((1,)), frozenset((2,))]) == Fraction(7, 9)
     assert box_coefficient([half_third, line], [frozenset((1, 2)), frozenset((1, 2))]) == Fraction(29, 18)
@@ -100,8 +117,8 @@ def test_work_counts_every_cell_the_engine_touches():
 
 
 def test_largest_permanent_fits_the_budget():
-    units = [(1, 1, (1,) * 22, None)] * 22
-    assert box_work((1,) * 22, units) == 1_107_296_740 <= BOX_STEP_BUDGET
+    units = [AxisRow(1, 1, (1,) * 22, lambda: [(1, 1)] * 22)] * 22
+    assert box_work((1,) * 22, units) <= 1_107_296_740 <= BOX_STEP_BUDGET
     assert 2**22 == BOX_CELL_LIMIT
 
 
@@ -111,7 +128,7 @@ def test_oversized_box_refused_before_tables(monkeypatch, rows, cols):
         raise AssertionError("a table was built before the box was checked")
 
     monkeypatch.setattr(counting, "build_h_tilde", no_tables)
-    monkeypatch.setattr(counting, "_exact_table", no_tables)
+    monkeypatch.setattr(counting, "_series", no_tables)
     start = time.perf_counter()
     with pytest.raises(EnumerationBudgetError, match="cells exceeds the limit 4194304"):
         lowrank_asymptotic_count(Margins(rows, cols), 0.2, 0)
@@ -123,6 +140,6 @@ def test_long_exact_factor_lists_refused_before_tables(monkeypatch):
     def no_tables(*args, **kwargs):
         raise AssertionError("a table was built before its factors were counted")
 
-    monkeypatch.setattr(counting, "_exact_table", no_tables)
+    monkeypatch.setattr(counting, "_series", no_tables)
     with pytest.raises(EnumerationBudgetError, match="element operations"):
         weighted_fy_count(Margins([20000], [20000]), WeightMatrix([[1]]))

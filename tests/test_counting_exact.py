@@ -10,6 +10,7 @@ import pytest
 
 from tablecount import counting
 from tablecount.errors import EnumerationBudgetError, ValidationError
+from tablecount.polynomial import AxisRow, box_coefficient, box_work
 from tablecount.counting import (
     Margins,
     WeightMatrix,
@@ -114,8 +115,8 @@ def test_enumeration_budget_fires():
 @pytest.mark.parametrize(
     "count, rows, cols, spend",
     [
-        (exact_count_dp, (3, 3, 3, 3), (4, 4, 4), 51),
-        (exact_count_dp, (10,) * 4, (10,) * 4, 759),
+        (exact_count_dp, (3, 3, 3, 3), (4, 4, 4), 74),
+        (exact_count_dp, (10,) * 4, (10,) * 4, 663),
         (exact_count_01, (3,) * 6, (3,) * 6, 240),
         (exact_count_01, (3,) * 7, (3,) * 7, 609),
     ],
@@ -128,6 +129,11 @@ def test_dp_node_spend_is_pinned(count, rows, cols, spend):
     with pytest.raises(EnumerationBudgetError):
         count(m, node_budget=spend - 1)
     assert value == count(m)
+
+
+def dense_count(box, lines, zero_one):
+    rows = [AxisRow(r, 1, (1,) * len(box) if zero_one else tuple(box)) for r in lines]
+    return box_coefficient(rows, [frozenset((s,)) for s in box])
 
 
 def test_dense_pass_equals_the_sorted_dp():
@@ -143,16 +149,16 @@ def test_dense_pass_equals_the_sorted_dp():
         plain = counting._line_count(cols, rows, None, 10**7)
         zero_one = counting._line_count(rows, cols, 1, 10**7)
         for box, lines in ((rows, cols), (cols, rows)):
-            assert counting._dense_count(box, lines, False) == plain, (rows, cols)
-            assert counting._dense_count(box, lines, True) == zero_one, (rows, cols)
+            assert dense_count(box, lines, False) == plain, (rows, cols)
+            assert dense_count(box, lines, True) == zero_one, (rows, cols)
 
 
 def test_dense_pass_moves_past_int64():
     # 30! / 5!^6 is about 8.9e19, past 2^63: the last lines run on Python ints
     want = math.factorial(30) // math.factorial(5) ** 6
     assert want >= 1 << 63
-    assert counting._dense_count((5,) * 6, (1,) * 30, False) == want
-    assert counting._dense_count((5,) * 6, (1,) * 30, True) == want
+    assert dense_count((5,) * 6, (1,) * 30, False) == want
+    assert dense_count((5,) * 6, (1,) * 30, True) == want
 
 
 def test_four_by_four_forty_equals_stanley_polynomial():
@@ -172,7 +178,7 @@ def test_symmetric_unit_margins_spend_the_sorted_dp_nodes():
 
 
 def test_sorted_dp_allowance_leaves_the_dense_pass_its_budget(monkeypatch):
-    # the dense pass costs 759 node-equivalents on (10^4)x(10^4)
+    # the dense pass costs 663 node-equivalents on (10^4)x(10^4)
     limits = []
     line_count = counting._line_count
 
@@ -183,24 +189,25 @@ def test_sorted_dp_allowance_leaves_the_dense_pass_its_budget(monkeypatch):
     m = Margins((10,) * 4, (10,) * 4)
     want = line_count(m.col_sums, m.row_sums, None, 10**7)
     monkeypatch.setattr(counting, "_line_count", recorded)
-    for budget in (759, 1000, 10**7):
+    for budget in (663, 1000, 10**7):
         limits.clear()
         assert exact_count_dp(m, node_budget=budget) == want
-        assert limits == [min(759, budget - 759)]
+        assert limits == [min(663, budget - 663)]
 
 
 def test_dense_pass_past_the_budget_builds_no_array(monkeypatch):
-    def no_dense(*args):
+    def no_dense(*args, **kwargs):
         raise AssertionError("the dense pass ran")
 
-    monkeypatch.setattr(counting, "_dense_count", no_dense)
+    monkeypatch.setattr(counting, "box_coefficient", no_dense)
     with pytest.raises(EnumerationBudgetError):
-        exact_count_dp(Margins((10,) * 4, (10,) * 4), node_budget=758)
+        exact_count_dp(Margins((10,) * 4, (10,) * 4), node_budget=662)
 
 
 def test_dense_pass_is_not_costed_past_the_cell_limit():
-    assert counting._dense_cost((1,) * 22, (1,) * 22, False, 10**12) is not None
-    assert counting._dense_cost((1,) * 23, (1,) * 23, False, 10**12) is None
+    budget = 10**15
+    assert box_work((1,) * 22, [AxisRow(1, 22, (1,) * 22)], budget) <= budget
+    assert box_work((1,) * 23, [AxisRow(1, 23, (1,) * 23)], budget) > budget
 
 
 def test_counts_invariant_under_margin_permutations():
@@ -326,7 +333,7 @@ def test_weighted_fy_count_wide_margins(rows, cols):
 @pytest.mark.parametrize(
     "rows, cols",
     [
-        ([5] * 8, [5] * 8),  # too many transitions
+        ([3] * 11, [3] * 11),  # too many transitions: about 1.3e9 element operations
         ([10**9], [5 * 10**8] * 2),  # one table entry, but factor lists of 5e8 rationals
     ],
 )
@@ -334,7 +341,7 @@ def test_weighted_fy_count_budget_checked_before_tables(monkeypatch, rows, cols)
     def no_tables(*args, **kwargs):
         raise AssertionError("a table was built")
 
-    monkeypatch.setattr(counting, "_exact_table", no_tables)
+    monkeypatch.setattr(counting, "_series", no_tables)
     with pytest.raises(EnumerationBudgetError):
         weighted_fy_count(Margins(rows, cols), WeightMatrix([[1] * len(cols)] * len(rows)))
 

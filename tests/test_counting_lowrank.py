@@ -183,7 +183,7 @@ def test_box_dp_budget_checked_before_tables(monkeypatch):
         raise AssertionError("a table was built before the step budget was checked")
 
     monkeypatch.setattr(counting, "build_h_tilde", no_tables)
-    monkeypatch.setattr(counting, "_exact_table", no_tables)
+    monkeypatch.setattr(counting, "_series", no_tables)
     m = Margins([3] * 12, [3] * 12)
     start = time.perf_counter()
     with pytest.raises(EnumerationBudgetError):

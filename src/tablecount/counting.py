@@ -175,9 +175,6 @@ class WeightMatrix:
     def num_cols(self) -> int:
         return len(self.entries[0])
 
-    def is_exact(self) -> bool:
-        return not any(isinstance(v, float) for row in self.entries for v in row)
-
     def to_numpy(self) -> np.ndarray:
         return np.array([[float(v) for v in row] for row in self.entries])
 
@@ -360,32 +357,6 @@ def exact_count_01(margins: Margins, node_budget: int = DEFAULT_NODE_BUDGET) -> 
     """Count 0-1 tables row by row over sorted remaining column sums, or by
     the dense pass when that costs less (see _count); infeasible margins give 0."""
     return _count(margins.row_sums, margins.col_sums, 1, node_budget)
-
-
-def weighted_count_bruteforce(
-    margins: Margins,
-    weights: WeightMatrix,
-    include_factorials: bool = True,
-    node_budget: int = DEFAULT_NODE_BUDGET,
-):
-    """Sum over all tables of prod w_ij^d_ij, optionally divided by prod d_ij!.
-
-    Exact when the weights are exact; this is the oracle weighted_fy_count and
-    the low-rank weighted paths are checked against.
-    """
-    _check_weight_shape(margins, weights)
-    exact = weights.is_exact()
-    total: Coeff = Fraction(0) if exact else 0.0
-    for table in iter_tables(margins, node_budget=node_budget):
-        term: Coeff = Fraction(1) if exact else 1.0
-        for wrow, drow in zip(weights.entries, table):
-            for w, d in zip(wrow, drow):
-                if d:
-                    term = term * w**d
-                    if include_factorials:
-                        term = term / factorial(d)
-        total = total + term
-    return total
 
 
 # ---------------------------------------------------------------------------

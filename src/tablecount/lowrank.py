@@ -26,15 +26,11 @@ from typing import Sequence, Tuple
 
 from ._np import np
 from .errors import CertificationError, EnumerationBudgetError, SurjectionSamplingError, ValidationError
-from .polynomial import (
-    DEFAULT_ENUMERATION_BUDGET,
-    LinearForm,
-    SparsePolynomial,
-    factorial,
-    monomials,
-    product_of_forms,
-)
+from .polynomial import LinearForm, SparsePolynomial, bounded_compositions, factorial, product_of_forms
 from .rng import DRAW_BUDGET, derive_seed_block, integer_matrix, truncated_exponential_matrix
+
+# most target monomials approx_coefficients lists without a box
+DEFAULT_ENUMERATION_BUDGET = 2 * 10**6
 
 
 def truncation_tail(kappa: float, r: int) -> float:
@@ -342,12 +338,23 @@ def approx_coefficients(
     is (r, ..., r) or (1, ..., 1), every target monomial, and an elementary box
     lies within (1, ..., 1).  A smaller box yields a subsequence of the same
     pairs.
+
+    Without a box, the C(n+r-1, r) or C(n, r) target monomials are counted
+    against budget before any is listed.  A box is not counted; its caller
+    bounds it.  The one caller that passes a box, a low-rank table of
+    box_coefficient, is built only inside BOX_CELL_LIMIT = 2^22 cells.  Fixing
+    every coordinate but the longest axis, of bound b, leaves at most one
+    value there, so a degree layer holds at most cells / (b + 1) <= 2^22 / 3
+    vectors for b >= 2 and C(22, 11) for unit boxes, both under the budget.
     """
     n, r = approx.num_vars, approx.r
+    complete = approx.kind == "complete"
     if box is None:
-        box = (r if approx.kind == "complete" else 1,) * n
-    expos = monomials(r, box, budget)
-    if approx.kind == "complete":
+        box = (r if complete else 1,) * n
+        if (math.comb(n + r - 1, r) if complete else math.comb(n, r)) > budget:
+            raise EnumerationBudgetError(f"degree-{r} monomials exceed budget {budget}", limit=budget)
+    expos = bounded_compositions(r, box)
+    if complete:
         gamma = approx.forms
         m = gamma.shape[0]
         for expo in expos:

@@ -29,7 +29,6 @@ Exponent = Tuple[int, ...]
 Coeff = Union[int, Fraction, float]
 
 DEFAULT_TERM_CAP = 10**7
-DEFAULT_ENUMERATION_BUDGET = 2 * 10**6
 # the box engine's element operations and cells: above the 1,107,296,740 and
 # 2^22 of 22 unit rows and columns, the costliest and largest margins, N <= 22
 BOX_STEP_BUDGET = 12 * 10**8
@@ -100,61 +99,6 @@ def bounded_compositions(total: int, bounds: Sequence[int]) -> Iterator[Exponent
             b = bounds[j]
             head[j] = v = b if b < rem else rem
             rem -= v
-
-
-def composition_count(total: int, bounds: Sequence[int], limit: int) -> int:
-    """Number of vectors bounded_compositions(total, bounds) lists, or limit + 1
-    as soon as that number is known to exceed limit (limit below 2^31).
-
-    a -> caps - a maps degree total onto degree sum(caps) - total, so the count
-    is taken at t, the smaller of the two.  Caps of at least t give a binomial.
-    Other caps run a dynamic program over the coordinates, smallest cap first,
-    on the partial sums s that the remaining caps can still complete to t.
-    Each such s leads to at least one distinct vector, so a window of more
-    than limit sums, or a partial count past limit, settles the answer; the
-    program never holds more than limit + 1 counts.
-    """
-    caps = sorted(c for c in (min(b, total) for b in bounds) if c > 0)
-    slack = sum(caps) - total
-    if slack < 0:
-        return 0
-    t = min(total, slack)
-    if t == 0:
-        return 1
-    if caps[0] >= t:
-        return math.comb(len(caps) + t - 1, t)
-    ways = np.ones(1, dtype=np.int64)  # ways[s - lo]: partial vectors summing to s
-    lo = hi = done = 0
-    rest = sum(caps)
-    for b in caps:
-        rest -= b
-        done += b
-        new_lo, new_hi = max(0, t - rest), min(t, done)
-        if new_hi - new_lo + 1 > limit:
-            return limit + 1
-        prefix = np.concatenate(([0], np.cumsum(ways)))
-        sums = np.arange(new_lo, new_hi + 1)
-        # the new count at s adds the old counts at s - b .. s
-        ways = prefix[np.minimum(sums, hi) - lo + 1] - prefix[np.maximum(sums - b, lo) - lo]
-        if ways.max() > limit:
-            return limit + 1
-        lo, hi = new_lo, new_hi
-    return int(ways[0])
-
-
-def monomials(
-    r: int, bounds: Sequence[int], budget: int = DEFAULT_ENUMERATION_BUDGET
-) -> Iterator[Exponent]:
-    """Exponent vectors of degree r with 0 <= a_j <= bounds[j].
-
-    Their number is counted before any is listed, so an oversized request
-    fails at once.
-    """
-    if composition_count(r, bounds, budget) > budget:
-        raise EnumerationBudgetError(
-            f"degree-{r} monomials exceed budget {budget}", limit=budget
-        )
-    return bounded_compositions(r, bounds)
 
 
 class AxisRow(NamedTuple):

@@ -123,37 +123,22 @@ def truncated_exponential_matrix(
 
 
 class SplitMix64Stream:
-    """Sequential view over one counter-mode stream.
+    """Sequential view over one counter-mode stream, for integer draws.
 
     The stream tracks its position, so successive calls return successive
-    blocks; reading 8 values in one call or in two calls of 5 and 3 yields
-    identical numbers.  Each call is the one-row matrix draw at the position.
+    blocks: integers(5) then integers(3) yields the numbers of integers(8).
+    Each call is the one-row integer_matrix draw at the position; the other
+    draws read a one-seed row of their *_matrix function.
     """
 
     def __init__(self, seed: int, position: int = 0):
         self.seed = seed & MASK64
         self.position = position
 
-    def spawn(self, index: int) -> "SplitMix64Stream":
-        """Independent child stream number ``index``."""
-        return SplitMix64Stream(derive_seed(self.seed, index))
-
     def _row(self, draw, count: int, *args) -> np.ndarray:
         block = draw(np.array([self.seed], dtype=np.uint64), count, *args, start=self.position)
         self.position += count
         return block[0]
-
-    def uint64(self, count: int) -> np.ndarray:
-        return self._row(_raw_matrix, count)
-
-    def uniform(self, count: int) -> np.ndarray:
-        return self._row(uniform_matrix, count)
-
-    def exponential(self, count: int) -> np.ndarray:
-        return self._row(exponential_matrix, count)
-
-    def truncated_exponential(self, count: int, kappa: float) -> np.ndarray:
-        return self._row(truncated_exponential_matrix, count, kappa)
 
     def integers(self, count: int, upper: int) -> np.ndarray:
         return self._row(integer_matrix, count, upper)

@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from oracles import weighted_count_bruteforce
 from test_permanent import naive_permanent
 from tablecount import counting
 from tablecount.counting import (
@@ -16,7 +17,6 @@ from tablecount.counting import (
     _series,
     exact_count_dp,
     lowrank_asymptotic_count,
-    weighted_count_bruteforce,
     weighted_fy_count,
 )
 from tablecount.errors import EnumerationBudgetError

@@ -128,6 +128,17 @@ def test_oversized_draw_request_exits_3_at_once(capsys, argv):
     assert "draw budget" in json.loads(err)["error"]
 
 
+def test_verify_coeffs_target_budget_exits_3_at_once(capsys):
+    # C(37, 6) = 2,324,784 square-free targets, counted before any coefficient
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "verify-coeffs", "--kind", "elementary", "--degree", "6", "--vars", "37",
+                             "--epsilon", "0.99")
+    assert time.perf_counter() - start < 2.0
+    assert code == 3
+    assert out == "" and err.count("\n") == 1
+    assert json.loads(err)["error"] == "degree-6 monomials exceed budget 2000000"
+
+
 def test_perm_cap_flag_is_gone(capsys):
     margins = ["--rows", "2,2", "--cols", "2,2"]
     for argv in (

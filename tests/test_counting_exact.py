@@ -8,6 +8,7 @@ from itertools import product
 
 import pytest
 
+from oracles import weighted_count_bruteforce
 from tablecount import counting
 from tablecount.errors import EnumerationBudgetError, ValidationError
 from tablecount.polynomial import AxisRow, box_coefficient, box_work
@@ -23,7 +24,6 @@ from tablecount.counting import (
     iter_tables,
     margins_from_csv_text,
     margins_from_json_text,
-    weighted_count_bruteforce,
     weighted_fy_count,
     weights_from_csv_text,
     weights_from_json_text,

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from oracles import weighted_count_bruteforce
 from tablecount.errors import (
     EnumerationBudgetError,
     TermBudgetError,
@@ -22,7 +23,6 @@ from tablecount.counting import (
     lowrank_asymptotic_count,
     lowrank_column_sets_count,
     lowrank_weighted_count,
-    weighted_count_bruteforce,
 )
 from tablecount.lowrank import build_e_tilde, build_h_tilde
 from tablecount.polynomial import bounded_compositions

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from oracles import weighted_count_bruteforce
 from tablecount import counting
 from tablecount.errors import EnumerationBudgetError, PermanentSizeError, ValidationError
 from tablecount.rng import DRAW_BUDGET, derive_seed_block, exponential_matrix
@@ -17,7 +18,6 @@ from tablecount.counting import (
     mc_estimate_count,
     mc_sample_values,
     variance_ratio_report,
-    weighted_count_bruteforce,
 )
 
 

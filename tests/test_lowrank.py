@@ -25,8 +25,13 @@ from tablecount.lowrank import (
     truncation_tail,
     verify_coefficients,
 )
-from tablecount.polynomial import monomials
-from tablecount.rng import DRAW_BUDGET, SplitMix64Stream, derive_seed
+from tablecount.polynomial import bounded_compositions
+from tablecount.rng import DRAW_BUDGET, SplitMix64Stream, derive_seed, truncated_exponential_matrix
+
+
+def _one_seed_row(seed, count, kappa):
+    """The first count truncated draws of the stream seeded by seed."""
+    return truncated_exponential_matrix(np.array([seed], dtype=np.uint64), count, kappa)[0]
 
 
 def test_solve_threshold_degree_zero_is_ln2():
@@ -75,10 +80,10 @@ def test_truncated_moment_matches_numeric_integration():
 
 def test_truncated_draws_bounded_and_moments():
     spec = solve_threshold(2, 0.1)
-    single = SplitMix64Stream(17).truncated_exponential(1, spec.kappa)[0]
+    single = _one_seed_row(17, 1, spec.kappa)[0]
     assert 0.0 <= single <= spec.kappa
 
-    draws = SplitMix64Stream(18).truncated_exponential(10**6, spec.kappa)
+    draws = _one_seed_row(18, 10**6, spec.kappa)
     assert draws.max() <= spec.kappa
     for alpha in (1, 2):
         emp = np.mean(draws**alpha)
@@ -213,7 +218,7 @@ def test_e_tilde_unscaled_coefficients_are_indicator_averages():
 
 
 def test_verify_exact_h_is_all_ones():
-    report = _band_report(((a, 1.0) for a in monomials(2, (2,) * 10)), 2, 0.3)
+    report = _band_report(((a, 1.0) for a in bounded_compositions(2, (2,) * 10)), 2, 0.3)
     assert report.min_ratio == 1.0
     assert report.max_ratio == 1.0
     assert report.ok
@@ -232,6 +237,16 @@ def test_verify_coefficients_budget():
     approx = build_h_tilde(2, 30, 0.3, seed=4, form_count=5)
     with pytest.raises(EnumerationBudgetError):
         verify_coefficients(approx, budget=10)
+
+
+@pytest.mark.parametrize("build,r,n,targets", [(build_h_tilde, 3, 6, math.comb(8, 3)),
+                                               (build_e_tilde, 3, 8, math.comb(8, 3))])
+def test_verify_coefficients_budget_is_the_target_count(build, r, n, targets):
+    # C(n+r-1, r) complete or C(n, r) square-free monomials: a budget of exactly that lists them all
+    approx = build(r, n, 0.3, seed=4, form_count=20)
+    assert verify_coefficients(approx, budget=targets).checked == targets
+    with pytest.raises(EnumerationBudgetError, match=f"degree-{r} monomials exceed budget {targets - 1}"):
+        verify_coefficients(approx, budget=targets - 1)
 
 
 def test_elementary_sample_count_positive():
@@ -282,7 +297,7 @@ def _sorted_block_coefficients(approx):
     """Elementary coefficients one monomial at a time: a surjection hits x_S
     when the sorted blocks of S's variables are 0..r-1."""
     target = np.arange(approx.r)
-    for expo in monomials(approx.r, (1,) * approx.num_vars):
+    for expo in bounded_compositions(approx.r, (1,) * approx.num_vars):
         combo = [j for j, a in enumerate(expo) if a]
         hits = np.sort(approx.forms[:, combo], axis=1)
         yield expo, approx.scale * int(np.sum(np.all(hits == target, axis=1)))
@@ -331,7 +346,7 @@ def test_h_tilde_memory_is_bounded():
     # rows on both sides of a draw-block edge are their own child streams' draws
     kappa = solve_threshold(2, 1.0 - math.sqrt(0.7)).kappa
     for i in (0, 6552, 6553, 6554, m - 1):
-        row = SplitMix64Stream(derive_seed(0, i)).truncated_exponential(n, kappa)
+        row = _one_seed_row(derive_seed(0, i), n, kappa)
         assert np.array_equal(approx.forms[i], row)
 
 

@@ -5,14 +5,12 @@ from fractions import Fraction
 
 import pytest
 
-from tablecount.errors import DimensionMismatchError, EnumerationBudgetError, TermBudgetError
+from tablecount.errors import DimensionMismatchError, TermBudgetError
 from tablecount.polynomial import (
     LinearForm,
     SparsePolynomial,
     bounded_compositions,
-    composition_count,
     monomial_weight,
-    monomials,
     poly_mul,
     poly_to_text,
     product_of_forms,
@@ -30,15 +28,6 @@ def test_monomial_weight_values():
     assert monomial_weight((3, 2, 1)) == 12
 
 
-@pytest.mark.parametrize("limit", [0, 5, 10**6])
-def test_composition_count_matches_enumeration(limit):
-    for bounds in [(), (0,), (3,), (1, 1, 1, 1), (2, 0, 3), (4, 1, 2, 6), (5, 5, 5), (2,) * 6]:
-        for total in range(sum(bounds) + 2):
-            listed = len(list(bounded_compositions(total, bounds)))
-            got = composition_count(total, bounds, limit)
-            assert got == listed if listed <= limit else got > limit, (bounds, total)
-
-
 def _compositions_reference(total, bounds):
     return sorted(
         (v for v in itertools.product(*(range(b + 1) for b in bounds)) if sum(v) == total),
@@ -49,7 +38,7 @@ def _compositions_reference(total, bounds):
 def test_bounded_compositions_match_product_reference():
     rng = random.Random(20)
     cases = [(0, ()), (1, ()), (-1, ()), (0, (0, 0)), (2, (0, 3, 0)), (-1, (2, 2)), (5, (1, 1)),
-             (2, (-1, 2, 2)), (1, (2, -1))]
+             (2, (-1, 2, 2)), (1, (2, -1)), (20, (2,) * 10)]
     for _ in range(300):
         bounds = tuple(rng.choice((0, 0, 1, 2, 3, 4)) for _ in range(rng.randint(0, 6)))
         cases.append((rng.randint(-2, sum(bounds) + 2), bounds))
@@ -65,18 +54,6 @@ def test_bounded_compositions_is_lazy():
     first = next(bounded_compositions(60, (60,) * 12))
     assert time.perf_counter() - began < 0.5
     assert first == (60,) + (0,) * 11
-
-
-def test_composition_count_wide_window_stops_early():
-    # over 2e8 vectors; the partial sums that can still reach 5e7 span 5e7 values
-    assert composition_count(5 * 10**7, (3, 5 * 10**7, 5 * 10**7), 10**6) == 10**6 + 1
-
-
-def test_monomials_counts_mixed_bounds_exactly():
-    # comb(29, 20) ~ 1e7 vectors of degree 20 in 10 variables, but one fits the box
-    assert list(monomials(20, (2,) * 10)) == [(2,) * 10]
-    with pytest.raises(EnumerationBudgetError):
-        monomials(20, (3,) * 30)
 
 
 def test_scalar_product_same_monomial():

@@ -4,6 +4,7 @@ import pytest
 from tablecount.rng import (
     MASK64,
     SplitMix64Stream,
+    _raw_matrix,
     derive_seed,
     derive_seed_block,
     exponential_matrix,
@@ -14,45 +15,49 @@ from tablecount.rng import (
 )
 
 
+def _row(draw, seed, count, *args):
+    """The first count values of draw on the one stream seeded by seed."""
+    return draw(np.array([seed], dtype=np.uint64), count, *args)[0]
+
+
 def test_mix64_matches_vector_path():
     seed = 12345
-    stream = SplitMix64Stream(seed)
-    block = stream.uint64(5)
+    block = _row(_raw_matrix, seed, 5)
     gamma = 0x9E3779B97F4A7C15
     expected = [mix64((seed + (k + 1) * gamma) & MASK64) for k in range(5)]
     assert [int(v) for v in block] == expected
 
 
 def test_same_seed_same_stream():
-    a = SplitMix64Stream(99).uniform(100)
-    b = SplitMix64Stream(99).uniform(100)
+    a = _row(uniform_matrix, 99, 100)
+    b = _row(uniform_matrix, 99, 100)
     assert np.array_equal(a, b)
 
 
 def test_chunking_does_not_change_values():
-    whole = SplitMix64Stream(7).uniform(8)
+    whole = SplitMix64Stream(7).integers(8, 1000)
     s = SplitMix64Stream(7)
-    parts = np.concatenate([s.uniform(5), s.uniform(3)])
+    parts = np.concatenate([s.integers(5, 1000), s.integers(3, 1000)])
     assert np.array_equal(whole, parts)
+    assert np.array_equal(whole, _row(integer_matrix, 7, 8, 1000))
 
 
 def test_uniform_range_and_spread():
-    u = SplitMix64Stream(3).uniform(20000)
+    u = _row(uniform_matrix, 3, 20000)
     assert u.min() >= 0.0
     assert u.max() < 1.0
     assert abs(u.mean() - 0.5) < 0.01
 
 
 def test_exponential_moments():
-    g = SplitMix64Stream(11).exponential(200000)
+    g = _row(exponential_matrix, 11, 200000)
     assert g.min() >= 0.0
     assert abs(g.mean() - 1.0) < 0.01
     assert abs(g.var() - 1.0) < 0.05
 
 
 def test_truncated_exponential_zeroes_the_tail():
-    s = SplitMix64Stream(5)
-    g = s.truncated_exponential(50000, 1.5)
+    g = _row(truncated_exponential_matrix, 5, 50000, 1.5)
     assert g.max() <= 1.5
     # mass above the threshold becomes exact zeros
     assert (g == 0.0).mean() > np.exp(-1.5) - 0.02
@@ -72,27 +77,24 @@ def test_derive_seed_children_are_distinct():
 
 
 def test_spawn_streams_disagree():
-    base = SplitMix64Stream(1000)
-    a = base.spawn(0).uniform(50)
-    b = base.spawn(1).uniform(50)
+    a = _row(uniform_matrix, derive_seed(1000, 0), 50)
+    b = _row(uniform_matrix, derive_seed(1000, 1), 50)
     assert not np.array_equal(a, b)
 
 
 def test_matrix_paths_match_per_stream_draws():
-    from tablecount.rng import derive_seed_block, truncated_exponential_matrix, uniform_matrix
-
     master = 777
     seeds = derive_seed_block(master, 6)
     assert [int(s) for s in seeds] == [derive_seed(master, i) for i in range(6)]
 
     mat = uniform_matrix(seeds, 9)
     for i in range(6):
-        row = SplitMix64Stream(derive_seed(master, i)).uniform(9)
+        row = _row(uniform_matrix, derive_seed(master, i), 9)
         assert np.array_equal(mat[i], row)
 
     trunc = truncated_exponential_matrix(seeds, 9, 1.2)
     for i in range(6):
-        row = SplitMix64Stream(derive_seed(master, i)).truncated_exponential(9, 1.2)
+        row = _row(truncated_exponential_matrix, derive_seed(master, i), 9, 1.2)
         assert np.array_equal(trunc[i], row)
 
 

@@ -265,7 +265,7 @@ def _compare(args: argparse.Namespace, margins: Margins) -> Dict[str, Any]:
             row["error"] = str(exc)
         row["ms"] = round((time.perf_counter() - start) * 1000.0, 3)
         if row["value"] is not None:
-            row["rel_error"] = abs(float(row["value"]) / exact - 1.0)
+            row["rel_error"] = float(abs(Fraction(row["value"]) / exact - 1))
         methods.append(row)
 
     add("exact", lambda: exact)
@@ -399,10 +399,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _fail(str(exc), 2)
     except OverflowError as exc:
         return _fail(f"the result overflows a float: {exc}", 2)
-    if args.output == "table":
-        print(_render_table(encoded))
-    else:
-        print(json.dumps(encoded, sort_keys=True, allow_nan=False))
+    try:
+        if args.output == "table":
+            print(_render_table(encoded))
+        else:
+            print(json.dumps(encoded, sort_keys=True, allow_nan=False))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader has gone (as with `| head -c 1`): point stdout at devnull
+        # so that the interpreter's own flush at exit does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return 0
 
 

@@ -4,9 +4,9 @@ An exact permanent is one coefficient of a product of row factors, so the
 box dynamic program of the polynomial module evaluates it, one series
 (1, M_ij) per column axis for each row, exactly for int/Fraction entries.  A
 batch variant evaluates many same-size float matrices at once for sampling
-loops by Ryser's inclusion-exclusion over column subsets in Gray-code order,
-with the batch on the last, contiguous axis; its per-matrix results do not
-depend on how the batch is chunked.
+loops by Glynn's formula, a signed sum over the 2^(N-1) sign vectors whose
+first sign is +1, in Gray-code order, with the batch on the last, contiguous
+axis; its per-matrix results do not depend on how the batch is chunked.
 """
 
 from __future__ import annotations
@@ -45,12 +45,19 @@ def permanent_float_batch(matrices: np.ndarray) -> np.ndarray:
     """Permanents of a (B, N, N) float array, one value per matrix, for N up
     to DEFAULT_SIZE_LIMIT.
 
+    Glynn's formula: perm(A) = 2 * sum over d in {+-1}^N with d_0 = +1 of
+    (prod_j d_j) * prod_i h_i(d), where h_i(d) = 1/2 * sum_j d_j a_ij.  Its
+    2^(N-1) - 1 Gray-code steps are half of Ryser's 2^N - 1, and its signed
+    row sums cancel far less than Ryser's subset sums (Glynn 2010, in the
+    Balasubramanian-Bax-Franklin-Glynn Gray-code form).
+
     The input is read in (column, row, batch) order, copied once unless that
-    view is already contiguous.  Each Gray-code step adds or subtracts one
-    (N, B) column slab to the row sums and takes their product over the rows
-    with one reduce along axis 0: per matrix, the arithmetic of a row-major
-    loop in its order.  Row sums gain one column at a time, the product runs
-    left to right and the signed products accumulate in Gray-code order, so
+    view is already contiguous.  The half sums start as the columns added
+    left to right, times 0.5.  Each Gray-code step adds or subtracts one
+    (N, B) column slab and takes the product over the rows with one reduce
+    along axis 0: per matrix, the arithmetic of a row-major loop in its
+    order.  The product runs left to right, the signed products accumulate
+    in Gray-code order, and the halving and the final doubling are exact, so
     values are bit-identical to that loop's and do not depend on the batch.
     """
     arr = np.asarray(matrices, dtype=np.float64)
@@ -64,24 +71,29 @@ def permanent_float_batch(matrices: np.ndarray) -> np.ndarray:
     if n == 0:
         return np.ones(b)
     cols = np.ascontiguousarray(arr.transpose(2, 1, 0))
-    row_sums = np.zeros((n, b))
+    half = cols[0].copy()
+    for col in cols[1:]:
+        half += col
+    half *= 0.5
+    total = np.multiply.reduce(half, axis=0)
     prod = np.empty(b)
-    total = np.zeros(b)
     gray = 0
-    for g in range(1, 1 << n):
+    for g in range(1, 1 << (n - 1)):
         flip = (g & -g).bit_length() - 1
         gray ^= 1 << flip
+        # d_{flip+1} turns to -1 when its Gray bit sets, which moves each half
+        # sum by one whole entry
         if gray & (1 << flip):
-            row_sums += cols[flip]
+            half -= cols[flip + 1]
         else:
-            row_sums -= cols[flip]
-        np.multiply.reduce(row_sums, axis=0, out=prod)
-        # each step changes the subset size by one, so its parity is g's
+            half += cols[flip + 1]
+        np.multiply.reduce(half, axis=0, out=prod)
+        # each step flips one sign, so prod_j d_j is (-1)^g
         if g % 2 == 0:
             total += prod
         else:
             total -= prod
-    return total if n % 2 == 0 else -total
+    return total * 2
 
 
 def gram_matrix(F: Sequence[LinearForm], G: Sequence[LinearForm]) -> Tuple[Tuple[Coeff, ...], ...]:

@@ -475,6 +475,21 @@ def test_compare_reports_the_lowrank_certification_error(capsys):
     assert "does not certify" in json.loads(err)["error"]
 
 
+def test_compare_past_float_range(capsys):
+    # 171! passes the largest float, so rel_error is taken in exact arithmetic
+    ones = ",".join(["1"] * 171)
+    report = run_json(capsys, "compare", "--rows", ones, "--cols", ones)
+    by_method = {row["method"]: row for row in report["methods"]}
+    assert int(by_method["exact"]["value"]) == math.factorial(171)
+    assert by_method["exact"]["rel_error"] == by_method["fy"]["rel_error"] == 0.0
+    assert by_method["bekessy"]["value"] is None and by_method["bekessy"]["rel_error"] is None
+    for name, message in (("montecarlo", "margins total 171 exceeds permanent size limit 22"),
+                          ("lowrank", "pairing needs")):
+        row = by_method[name]
+        assert row["value"] is None and row["rel_error"] is None
+        assert row["error"].startswith(message)
+
+
 def test_bekessy_log_value_past_float_range(capsys):
     ones = ",".join(["1"] * 200)
     report = run_json(capsys, "bekessy", "--rows", ones, "--cols", ones)

@@ -299,3 +299,20 @@ def test_estimate_takes_its_standard_error_in_place():
     finally:
         tracemalloc.stop()
     assert peak <= 12 * samples
+
+
+@pytest.mark.parametrize("rows, cols, samples, bound", [
+    ([7, 7], [7, 7], 1000, 1e-4),
+    ([4] * 4, [4] * 4, 100, 1e-9),
+    ([3] * 4, [4] * 3, 300, 1e-10),
+    ([4, 4], [2] * 4, 2000, 1e-10),
+])
+def test_sample_values_near_the_non_negative_sum(rows, cols, samples, bound):
+    # the box engine sums the same block permanent's non-negative terms, one
+    # per table, so it bounds the float kernel's cancellation sample by sample
+    m = Margins(rows, cols)
+    cells = exponential_matrix(derive_seed_block(11, samples), m.num_rows * m.num_cols)
+    divisor = m.divisor()
+    want = np.array([counting.weighted_fy_count(m, WeightMatrix(c.tolist())) * divisor
+                     for c in cells.reshape(-1, m.num_rows, m.num_cols)])
+    assert np.max(np.abs(mc_sample_values(m, samples, 11) / want - 1)) <= bound

@@ -10,6 +10,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import tablecount
 
 SRC = str(Path(tablecount.__file__).resolve().parents[1])
@@ -55,7 +57,7 @@ print(json.dumps(runs))
     del report["elapsed_ms"]
     assert report == {"ci_high": 3.213660589265808, "ci_low": 2.7998621958329344, "cols": [2, 2],
                       "command": "estimate", "mean": 3.0067613925493712, "rows": [2, 2],
-                      "samples": 10000, "seed": 1729, "std_err": 0.10556275439162725}
+                      "samples": 10000, "seed": 1729, "std_err": 0.10556275439162728}
 
 
 def test_overflowing_numeric_input_prints_one_json_line(tmp_path):
@@ -67,3 +69,18 @@ def test_overflowing_numeric_input_prints_one_json_line(tmp_path):
                       "--method", "lowrank")
     assert done.returncode == 2 and done.stdout == ""
     assert done.stderr == '{"error": "report field \'value\' is not finite (inf)"}\n'
+
+
+@pytest.mark.parametrize("flags", [[], ["-u"]])
+def test_closed_stdout_exits_1_without_a_traceback(flags):
+    # the pipe's reader is gone before the child writes, as after `| head -c 1`
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    try:
+        done = subprocess.run([sys.executable, *flags, "-m", "tablecount", "count", "--rows", "2,2",
+                               "--cols", "2,2"], env=dict(os.environ, PYTHONPATH=path),
+                              stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=120)
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (1, "")

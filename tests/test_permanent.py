@@ -104,27 +104,37 @@ def test_permanent_float_batch_chunk_invariance():
     assert np.array_equal(whole, parts)
 
 
-def ryser_row_major(batch):
-    """Gray-code Ryser over (B, N) row sums, each product taken left to right."""
+def glynn_row_major(batch):
+    """Gray-code Glynn over (B, N) half sums, each product taken left to right."""
     b, n = batch.shape[0], batch.shape[1]
-    row_sums = np.zeros((b, n))
-    total = np.zeros(b) if n else np.ones(b)
+    if n == 0:
+        return np.ones(b)
+    half = batch[:, :, 0].copy()
+    for j in range(1, n):
+        half += batch[:, :, j]
+    half *= 0.5
+
+    def product():
+        prod = half[:, 0].copy()
+        for i in range(1, n):
+            prod *= half[:, i]
+        return prod
+
+    total = product()
     gray = 0
-    for g in range(1, 1 << n):
+    for g in range(1, 1 << (n - 1)):
         flip = (g & -g).bit_length() - 1
         gray ^= 1 << flip
         if gray & (1 << flip):
-            row_sums += batch[:, :, flip]
+            half -= batch[:, :, flip + 1]
         else:
-            row_sums -= batch[:, :, flip]
-        prod = row_sums[:, 0].copy()
-        for i in range(1, n):
-            prod *= row_sums[:, i]
+            half += batch[:, :, flip + 1]
+        # the sign vector d has d_0 = +1 and d_{j+1} = -1 for each set bit j
         if bin(gray).count("1") % 2 == 0:
-            total += prod
+            total += product()
         else:
-            total -= prod
-    return total if n % 2 == 0 else -total
+            total -= product()
+    return total * 2
 
 
 @pytest.mark.parametrize("n", range(13))
@@ -134,7 +144,7 @@ def test_permanent_float_batch_bit_identical_to_reference(n):
         batch = rng.standard_normal((b, n, n)) * rng.exponential(size=(b, n, n))
         kept = batch.copy()
         for view in (batch, batch[::2], batch.transpose(0, 2, 1)):
-            assert np.array_equal(permanent_float_batch(view), ryser_row_major(view))
+            assert np.array_equal(permanent_float_batch(view), glynn_row_major(view))
         assert np.array_equal(batch, kept)
 
 
